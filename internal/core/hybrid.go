@@ -98,7 +98,7 @@ func (s *System) EnableHybrid(tier HybridTier) bool {
 		reason = "noise RNG is a shared sequential stream"
 	case s.ioAttached:
 		reason = ioSharedReason
-	case tier == HybridExact && s.TasksPerNode != 1:
+	case tier == HybridExact && s.vnProxied():
 		reason = "VN placement queues on the shared NIC proxy core"
 	}
 	if reason != "" {
@@ -109,6 +109,15 @@ func (s *System) EnableHybrid(tier HybridTier) bool {
 	s.hybTier = tier
 	s.hybReason = ""
 	return true
+}
+
+// vnProxied reports whether the system's ranks share nodes or its messages
+// pass the VN proxy core (VN mode on a single-core machine places one task
+// per node but still pays the proxy stages). The proxy core queues in
+// arrival order, which only the serial engine's route walk can book, so
+// both fast paths decline such systems.
+func (s *System) vnProxied() bool {
+	return s.Mode == machine.VN && (s.TasksPerNode > 1 || s.M.NIC.VNProxyUS > 0)
 }
 
 // DisableHybrid reverts the system to the DES, recording why (surfaced by

@@ -43,7 +43,7 @@ func (s *System) EnableParallel(shards int) bool {
 		reason = "fewer than 2 shards requested"
 	case s.M.Topology != machine.Torus3D:
 		reason = "machine is not a torus"
-	case s.TasksPerNode != 1:
+	case s.vnProxied():
 		reason = "VN placement shares the NIC proxy core across slabs"
 	case s.Tel != nil:
 		reason = "telemetry aggregation is cross-domain shared state"

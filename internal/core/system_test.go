@@ -39,6 +39,23 @@ func TestSingleCoreMachineModesIdentical(t *testing.T) {
 	}
 }
 
+func TestSingleCoreVNDeclinesFastPaths(t *testing.T) {
+	// One task per node, but VN messages still pass the XT3's proxy core,
+	// whose arrival-ordered queue only the serial route walk can book.
+	for _, mode := range []machine.Mode{machine.SN, machine.VN} {
+		par := NewSystem(machine.XT3(), mode, 64)
+		exact := NewSystem(machine.XT3(), mode, 64)
+		gotPar, gotExact := par.EnableParallel(2), exact.EnableHybrid(HybridExact)
+		if want := mode == machine.SN; gotPar != want || gotExact != want {
+			t.Fatalf("XT3 %v: parallel %v (%q), exact hybrid %v (%q); want both %v",
+				mode, gotPar, par.ParallelReason(), gotExact, exact.HybridReason(), want)
+		}
+	}
+	if !NewSystem(machine.XT3(), machine.VN, 64).EnableHybrid(HybridAnalytic) {
+		t.Fatal("analytic hybrid prices VN stages in closed form and should admit XT3 VN")
+	}
+}
+
 func TestVNModeSplitsMemory(t *testing.T) {
 	// §2: in VN mode the node's memory is divided evenly between cores.
 	sn := NewSystem(machine.XT4(), machine.SN, 2)

@@ -35,6 +35,31 @@ func BenchmarkFabricDeliver(b *testing.B) {
 	}
 }
 
+// BenchmarkHybridPriceExact measures one exact-tier hybrid pricing call:
+// the session lock plus the shared route walk against the session's
+// private ledger. Every node sends to its +X neighbour on a 4096-node XT4
+// torus, the single-owner halo pattern ext-petascale's exact cells run.
+func BenchmarkHybridPriceExact(b *testing.B) {
+	f := New(sim.NewEngine(), machine.XT4(), 4096)
+	sess, reason := f.BeginHybrid(true)
+	if sess == nil {
+		b.Fatalf("exact session declined: %s", reason)
+	}
+	n := f.Tor.Nodes()
+	msg := Msg{Bytes: 4096, Mode: machine.SN}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := f.Tor.Coord(i % n)
+		msg.SrcNode = i % n
+		c.X++
+		msg.DstNode = f.Tor.ID(c)
+		if _, ok := sess.Price(sim.Time(i)*1e-6, msg, msg.SrcNode); !ok {
+			b.Fatal("single-owner pattern violated the exact ledger")
+		}
+	}
+}
+
 // benchAllToAll soaks the fabric and the event queue together: every node
 // sends one message to every other node, and the engine runs the resulting
 // event population to completion. This is the communication skeleton of the

@@ -28,21 +28,103 @@ import (
 // usToS converts the microsecond parameters of machine configs to seconds.
 const usToS = 1e-6
 
+// ledger is the reservation state one route walk (deliverRemote) books
+// against. The walk's arithmetic is the same on every engine; the ledger
+// decides whose resources it reserves, who observes them, and where the
+// arrival goes:
+//
+//   - the serial ledger, embedded in Fabric, books the fabric's own links
+//     and injection ports, feeds the observers and schedules arrivals on
+//     the fabric's engine;
+//   - a domain ledger (sharded mode, parallel.go) books the same resources
+//     but only on its own slab — hops past the first foreign link are
+//     priced at uncontended wire time and counted — and posts arrivals to
+//     the destination slab through the scheduler's window merge;
+//   - an exact hybrid ledger (hybrid.go) books session-private copies,
+//     claiming each resource for the pricing rank before reserving it, and
+//     schedules nothing.
+//
+// The VN proxy cores (reserved in arrival order, which only the serial
+// engine sees) and the flat-fabric ejection ports stay on the fabric, and
+// only the serial ledger walks them: both fast paths admit SN torus runs
+// only.
+type ledger struct {
+	links []sim.FIFOResource // directed torus links, indexed by Tor.LinkID
+	nicTx []sim.FIFOResource // per-node injection port
+
+	// routes memoises dimension-ordered routes as link-id slices so the
+	// per-message hot path walks cached ids instead of materialising a
+	// []Link per delivery. Not safe for concurrent use: each domain
+	// ledger has its own.
+	routes *torus.RouteCache
+
+	// eng receives the arrival callbacks; nil on a hybrid ledger, whose
+	// callers price transfers without scheduling them.
+	eng *sim.Engine
+
+	// tel holds per-resource payload-byte and queue-wait counters, nil
+	// until EnableTelemetry. Off, each reservation site pays one nil check
+	// and allocates nothing; busy seconds and reservation counts come from
+	// the FIFOResources themselves at report time, so only bytes and waits
+	// accumulate here. Serial ledger only.
+	tel *telemetry.FabricBytes
+
+	// tl is the timeline flight recorder's collector, nil until
+	// EnableTimeline — the same nil-gate idiom as tel. Under the sharded
+	// scheduler each domain ledger holds its own collector and the serial
+	// ledger's stays nil (see TimelineShard).
+	tl *timeline.Collector
+
+	// cp is the causal recorder, nil until EnableCritPath — the same
+	// nil-gate idiom as tel. When on, each delivery builds one
+	// happens-before edge whose stage components sum exactly to its
+	// arrive − depart span. Serial ledger only.
+	cp *critpath.Recorder
+
+	// part is non-nil on a domain ledger, which owns slab dom of it;
+	// foreignHops counts the hops it priced without reservation.
+	part        *torus.Partition
+	dom         int
+	foreignHops uint64
+
+	// linkOwner and txOwner are non-nil on an exact hybrid ledger: the
+	// owner (rank+1, 0 = unclaimed) of each link and injection port,
+	// proving the single-owner condition under which the session's books
+	// equal the DES's.
+	// claimant is the pricing rank's claim (rank+1); violated latches the
+	// first lost claim, after which the walk has stopped short.
+	linkOwner, txOwner []int32
+	claimant           int32
+	violated           bool
+}
+
+// claim establishes, or confirms, the pricing rank's single ownership of
+// owner[i]. A lost claim latches violated.
+func (lg *ledger) claim(owner []int32, i int) bool {
+	switch owner[i] {
+	case 0:
+		owner[i] = lg.claimant
+		return true
+	case lg.claimant:
+		return true
+	}
+	lg.violated = true
+	return false
+}
+
 // Fabric is the interconnect of one simulated system instance.
 type Fabric struct {
 	Eng *sim.Engine
 	M   machine.Machine
 	Tor torus.Torus
 
-	links   []sim.FIFOResource // directed torus links, indexed by Tor.LinkID
-	nicTx   []sim.FIFOResource // per-node injection port
+	// ledger is the serial delivery ledger: the fabric's links, injection
+	// ports, route cache and observers (so f.links, f.tel and the rest name
+	// its fields).
+	ledger
+
 	nicRx   []sim.FIFOResource // per-node ejection port (binding on flat fabrics)
 	vnProxy []sim.FIFOResource // per-node VN-mode message-handling core
-
-	// routes memoises dimension-ordered routes as link-id slices so the
-	// per-message hot path walks cached ids instead of materialising a
-	// []Link per delivery.
-	routes *torus.RouteCache
 
 	// derate holds per-link bandwidth multipliers for fault injection,
 	// indexed by link id. It is nil until the first DegradeLink call, so
@@ -50,26 +132,8 @@ type Fabric struct {
 	// per link.
 	derate []float64
 
-	// tel holds per-resource payload-byte and queue-wait counters, nil
-	// until EnableTelemetry. Like derate, the telemetry-off hot path pays
-	// one nil check per reservation site and allocates nothing; busy
-	// seconds and reservation counts come from the FIFOResources themselves
-	// at report time, so only bytes and waits accumulate here.
-	tel *telemetry.FabricBytes
-
-	// tl is the timeline flight recorder's collector, nil until
-	// EnableTimeline — the same nil-gate idiom as tel: off, each
-	// reservation site pays one nil check and allocates nothing. Under the
-	// sharded scheduler the per-domain collectors live in parState and
-	// this field stays nil (see TimelineShard).
-	tl *timeline.Collector
-
-	// cp is the causal recorder, nil until EnableCritPath — the same
-	// nil-gate idiom as tel. When on, each delivery builds one
-	// happens-before edge whose stage components sum exactly to its
-	// arrive − depart span; lastEdge exposes the most recent edge id so
+	// lastEdge is the critical-path edge id of the most recent delivery, so
 	// the MPI layer can stamp it into the matching envelope and request.
-	cp       *critpath.Recorder
 	lastEdge int32
 
 	// freeVN is a free list of VN-mode arrival records, recycled when the
@@ -79,7 +143,7 @@ type Fabric struct {
 
 	// par is the sharded-delivery state, nil in serial mode — the same
 	// nil-gate idiom as derate/tel/cp, so the serial hot path pays one nil
-	// check. See parallel.go and DESIGN.md §4h.
+	// check to pick its ledger. See parallel.go and DESIGN.md §4h.
 	par *parState
 
 	// sio lists the torus node ids reserved for service-I/O duty (set by
@@ -98,6 +162,12 @@ type Fabric struct {
 // working set (see torus.RouteCache for the eviction policy).
 const maxRouteCacheEntries = 1 << 17
 
+// newRouteCache builds a route cache for tor, bounded by both
+// maxRouteCacheEntries and the torus's count of ordered node pairs.
+func newRouteCache(tor torus.Torus) *torus.RouteCache {
+	return torus.NewRouteCache(tor, min(maxRouteCacheEntries, tor.Nodes()*tor.Nodes()))
+}
+
 // New builds a fabric for nNodes nodes of machine m.
 func New(eng *sim.Engine, m machine.Machine, nNodes int) *Fabric {
 	return NewWithSIO(eng, m, nNodes, 0)
@@ -114,19 +184,18 @@ func NewWithSIO(eng *sim.Engine, m machine.Machine, nCompute, nSIO int) *Fabric 
 		panic("network: negative SIO node count")
 	}
 	tor := m.TorusFor(nCompute + nSIO)
-	cacheMax := maxRouteCacheEntries
-	if pairs := tor.Nodes() * tor.Nodes(); pairs < cacheMax {
-		cacheMax = pairs
-	}
 	f := &Fabric{
-		Eng:     eng,
-		M:       m,
-		Tor:     tor,
-		links:   make([]sim.FIFOResource, tor.NumLinks()),
-		nicTx:   make([]sim.FIFOResource, tor.Nodes()),
+		Eng: eng,
+		M:   m,
+		Tor: tor,
+		ledger: ledger{
+			links:  make([]sim.FIFOResource, tor.NumLinks()),
+			nicTx:  make([]sim.FIFOResource, tor.Nodes()),
+			routes: newRouteCache(tor),
+			eng:    eng,
+		},
 		nicRx:   make([]sim.FIFOResource, tor.Nodes()),
 		vnProxy: make([]sim.FIFOResource, tor.Nodes()),
-		routes:  torus.NewRouteCache(tor, cacheMax),
 	}
 	for i := 0; i < nSIO; i++ {
 		f.sio = append(f.sio, tor.Nodes()-1-i)
@@ -178,34 +247,49 @@ func (f *Fabric) Deliver(at sim.Time, msg Msg, onArrive sim.Arriver) Timeline {
 	if msg.SrcNode < 0 || msg.SrcNode >= f.Tor.Nodes() || msg.DstNode < 0 || msg.DstNode >= f.Tor.Nodes() {
 		panic(fmt.Sprintf("network: node out of range in %v (fabric has %d nodes)", msg, f.Tor.Nodes()))
 	}
-	if f.par != nil {
-		return f.deliverParallel(at, msg, onArrive)
-	}
-
-	var tl Timeline
-	if msg.SrcNode == msg.DstNode {
-		tl = f.deliverLocal(at, msg)
-		if f.tel != nil {
-			f.tel.Local += msg.Bytes
-		}
-		if f.cp != nil {
-			id, e := f.cp.StartEdge(critpath.EdgeMessage, at, msg.Bytes, 0)
-			if e != nil {
-				// Halved software overheads plus the memcpy: the two
-				// components sum to Arrive − at exactly.
-				e.Overhead = 0.5 * (f.M.NIC.SendOverheadUS + f.M.NIC.RecvOverheadUS) * usToS
-				e.Inject = float64(msg.Bytes) / f.M.NIC.MemcpyBW
-			}
-			f.lastEdge = id
-		}
-		if onArrive != nil {
-			f.Eng.AtArrive(tl.Arrive, onArrive)
-		}
+	lg := &f.ledger
+	if p := f.par; p != nil {
+		// Sharded mode: the sending node's slab walks the route. This call
+		// runs on that slab's engine, since only its ranks send from the
+		// node.
+		d := &p.dom[p.part.DomainOf(msg.SrcNode)]
+		d.msgs++
+		d.bytes += uint64(msg.Bytes)
+		lg = &d.ledger
 	} else {
-		tl = f.deliverRemote(at, msg, onArrive)
+		f.MsgsDelivered++
+		f.BytesDelivered += uint64(msg.Bytes)
 	}
-	f.MsgsDelivered++
-	f.BytesDelivered += uint64(msg.Bytes)
+	if msg.SrcNode == msg.DstNode {
+		return f.deliverLocal(lg, at, msg, onArrive)
+	}
+	return f.deliverRemote(lg, at, msg, onArrive)
+}
+
+// deliverLocal models a same-node (core-to-core) transfer on ledger lg: §2
+// notes that messages between two cores on the same socket are handled
+// through a memory copy. Software overheads are roughly halved because no
+// Portals descriptor or NIC doorbell is involved. Nothing is reserved.
+func (f *Fabric) deliverLocal(lg *ledger, at sim.Time, msg Msg, onArrive sim.Arriver) Timeline {
+	nic := f.M.NIC
+	done := at + 0.5*nic.SendOverheadUS*usToS + float64(msg.Bytes)/nic.MemcpyBW
+	tl := Timeline{Depart: at, Injected: done, Arrive: done + 0.5*nic.RecvOverheadUS*usToS}
+	if lg.tel != nil {
+		lg.tel.Local += msg.Bytes
+	}
+	if lg.cp != nil {
+		id, e := lg.cp.StartEdge(critpath.EdgeMessage, at, msg.Bytes, 0)
+		if e != nil {
+			// Halved software overheads plus the memcpy: the two
+			// components sum to Arrive − at exactly.
+			e.Overhead = 0.5 * (f.M.NIC.SendOverheadUS + f.M.NIC.RecvOverheadUS) * usToS
+			e.Inject = float64(msg.Bytes) / f.M.NIC.MemcpyBW
+		}
+		f.lastEdge = id
+	}
+	if onArrive != nil {
+		lg.eng.AtArrive(tl.Arrive, onArrive)
+	}
 	return tl
 }
 
@@ -267,37 +351,38 @@ func (f *Fabric) newVNArrival(node int, bytes int64, extra sim.Time, sink sim.Ar
 	return v
 }
 
-// deliverLocal models a same-node (core-to-core) transfer: §2 notes that
-// messages between two cores on the same socket are handled through a
-// memory copy. Software overheads are roughly halved because no Portals
-// descriptor or NIC doorbell is involved.
-func (f *Fabric) deliverLocal(at sim.Time, msg Msg) Timeline {
-	nic := f.M.NIC
-	t := at + 0.5*nic.SendOverheadUS*usToS
-	copyTime := float64(msg.Bytes) / nic.MemcpyBW
-	done := t + copyTime
-	arrive := done + 0.5*nic.RecvOverheadUS*usToS
-	return Timeline{Depart: at, Injected: done, Arrive: arrive}
-}
-
-// deliverRemote models the full network path and schedules onArrive. The
-// send side (software overhead, VN proxy, injection, links) is computed
-// eagerly in reservation order, which is also time order for a node's own
-// sends; the receive-side VN proxy is handled by an event at the payload's
-// tail-arrival time, so that proxy queueing follows *arrival* order — a
-// FIFO reserved eagerly with future timestamps would queue messages in
-// send order and inflate contention unboundedly.
-func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timeline {
+// deliverRemote models the full network path against ledger lg and
+// schedules onArrive on the ledger's engine. It is the one route walk of
+// every engine — serial, sharded and exact hybrid — so the three produce
+// the same floats by construction wherever their ledgers hold the same
+// state (see ledger). The send side (software overhead, VN proxy,
+// injection, links) is computed eagerly in reservation order, which is
+// also time order for a node's own sends; the receive-side VN proxy is
+// handled by an event at the payload's tail-arrival time, so that proxy
+// queueing follows *arrival* order — a FIFO reserved eagerly with future
+// timestamps would queue messages in send order and inflate contention
+// unboundedly.
+//
+// On an exact hybrid ledger a lost single-owner claim stops the walk
+// before the contested resource is reserved: lg.violated is set and the
+// returned timeline is zero.
+func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Arriver) Timeline {
 	nic := f.M.NIC
 	link := f.M.Link
 	size := float64(msg.Bytes)
+	vn := msg.Mode == machine.VN && nic.VNProxyUS > 0
+	if vn && lg != &f.ledger {
+		// The VN proxy core queues in arrival order; both fast paths
+		// decline VN placement at admission, before it gets here.
+		panic("network: VN-mode delivery off the serial fabric")
+	}
 
 	// Send-side software overhead.
 	t := at + nic.SendOverheadUS*usToS
 
 	// The cached dimension-ordered route, as link ids; its length is the
 	// hop count.
-	route := f.routes.LinkIDs(msg.SrcNode, msg.DstNode)
+	route := lg.routes.LinkIDs(msg.SrcNode, msg.DstNode)
 	hops := len(route)
 
 	// Critical-path edge: each stage below adds its contribution so the
@@ -305,8 +390,8 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 	// the stages themselves overlap under cut-through pipelining.
 	var eid int32
 	var e *critpath.Edge
-	if f.cp != nil {
-		eid, e = f.cp.StartEdge(critpath.EdgeMessage, at, msg.Bytes, hops)
+	if lg.cp != nil {
+		eid, e = lg.cp.StartEdge(critpath.EdgeMessage, at, msg.Bytes, hops)
 		f.lastEdge = eid
 		if e != nil {
 			e.Overhead += nic.SendOverheadUS * usToS
@@ -325,7 +410,7 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 
 	// Virtual-node mode: traffic to or from the non-NIC core is mediated
 	// by core 0, adding fixed latency plus queueing on the handling core.
-	if msg.Mode == machine.VN && nic.VNProxyUS > 0 {
+	if vn {
 		if msg.SrcCore > 0 {
 			t += nic.VNMediationUS * usToS
 			if e != nil {
@@ -333,12 +418,12 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 			}
 		}
 		start := f.vnProxy[msg.SrcNode].Reserve(t, nic.VNProxyUS*usToS)
-		if f.tel != nil {
-			f.tel.VNProxy[msg.SrcNode] += msg.Bytes
-			f.tel.VNProxyWait[msg.SrcNode] += start - t
+		if lg.tel != nil {
+			lg.tel.VNProxy[msg.SrcNode] += msg.Bytes
+			lg.tel.VNProxyWait[msg.SrcNode] += start - t
 		}
-		if f.tl != nil {
-			f.tl.Sample(timeline.VNProxy, t, start, start+nic.VNProxyUS*usToS)
+		if lg.tl != nil {
+			lg.tl.Sample(timeline.VNProxy, t, start, start+nic.VNProxyUS*usToS)
 		}
 		if e != nil {
 			e.InjWait += start - t
@@ -350,14 +435,17 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 	// NIC injection: the payload serialises through the HyperTransport/
 	// NIC path at the effective injection bandwidth.
 	injTime := size / nic.EffBW()
-	t0 := f.nicTx[msg.SrcNode].Reserve(t, injTime)
-	if f.tel != nil {
-		f.tel.NICTx[msg.SrcNode] += msg.Bytes
-		f.tel.NICTxWait[msg.SrcNode] += t0 - t
-		f.tel.Hop += msg.Bytes * int64(hops)
+	if lg.txOwner != nil && !lg.claim(lg.txOwner, msg.SrcNode) {
+		return Timeline{}
 	}
-	if f.tl != nil {
-		f.tl.Sample(timeline.NIC, t, t0, t0+injTime)
+	t0 := lg.nicTx[msg.SrcNode].Reserve(t, injTime)
+	if lg.tel != nil {
+		lg.tel.NICTx[msg.SrcNode] += msg.Bytes
+		lg.tel.NICTxWait[msg.SrcNode] += t0 - t
+		lg.tel.Hop += msg.Bytes * int64(hops)
+	}
+	if lg.tl != nil {
+		lg.tl.Sample(timeline.NIC, t, t0, t0+injTime)
 	}
 	if e != nil {
 		e.InjWait += t0 - t
@@ -372,8 +460,9 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 	var lastStart sim.Time = t0
 	lastSer := 0.0
 	linkWaitSum := 0.0
-	tel := f.tel // hoisted: Reserve can't alias it, but the compiler can't tell
-	tl := f.tl
+	// Hoisted: Reserve can't alias these, but the compiler can't tell.
+	links, tel, tl := lg.links, lg.tel, lg.tl
+	restricted := lg.part != nil || lg.linkOwner != nil
 	for _, id := range route {
 		bw := link.BW
 		if f.derate != nil {
@@ -381,7 +470,24 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 		}
 		linkSer := size / bw
 		req := head + link.HopLatencyUS*usToS
-		s := f.links[id].Reserve(req, linkSer)
+		var s sim.Time
+		switch {
+		case !restricted:
+			s = links[id].Reserve(req, linkSer)
+		case lg.part != nil && lg.part.DomainOfLink(int(id)) != lg.dom:
+			// A domain ledger past its slab (Z is routed last and
+			// monotonically, so the route never comes back): priced at
+			// uncontended wire time without reservation. A run with zero
+			// foreign hops contended exactly like the serial engine.
+			lg.foreignHops++
+			s = req
+		default:
+			// An exact hybrid ledger claims the link before booking it.
+			if lg.linkOwner != nil && !lg.claim(lg.linkOwner, int(id)) {
+				return Timeline{}
+			}
+			s = links[id].Reserve(req, linkSer)
+		}
 		if tel != nil {
 			tel.Link[id] += msg.Bytes
 			tel.LinkWait[id] += s - req
@@ -392,7 +498,7 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 		if e != nil {
 			if wv := s - req; wv > 0 {
 				linkWaitSum += wv
-				f.cp.AddHopWait(eid, int32(id), wv)
+				lg.cp.AddHopWait(eid, int32(id), wv)
 			}
 		}
 		head = s
@@ -423,13 +529,14 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 
 	// On flat switched fabrics the ejection port is a real bottleneck
 	// (many-to-one patterns); on the torus the final link already
-	// serialised arrivals into the node.
+	// serialised arrivals into the node. Only the serial ledger walks flat
+	// fabrics: both fast paths require a torus.
 	if f.M.Topology == machine.FlatSwitch {
 		ej := size / nic.EffBW()
 		s := f.nicRx[msg.DstNode].Reserve(tail-ej, ej)
-		if f.tel != nil {
-			f.tel.NICRx[msg.DstNode] += msg.Bytes
-			f.tel.NICRxWait[msg.DstNode] += s - (tail - ej)
+		if lg.tel != nil {
+			lg.tel.NICRx[msg.DstNode] += msg.Bytes
+			lg.tel.NICRxWait[msg.DstNode] += s - (tail - ej)
 		}
 		if e != nil {
 			e.LinkWait += s - (tail - ej)
@@ -440,7 +547,7 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 	// Receive-side mediation and software overhead.
 	injected := t0 + injTime
 	recvOv := nic.RecvOverheadUS * usToS
-	if msg.Mode == machine.VN && nic.VNProxyUS > 0 {
+	if vn {
 		dur := nic.VNProxyUS * usToS
 		med := 0.0
 		if msg.DstCore > 0 {
@@ -451,7 +558,7 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 		// finished there too (receive-proxy queueing isn't known yet).
 		v := f.newVNArrival(msg.DstNode, msg.Bytes, med+recvOv, onArrive)
 		v.edge = eid
-		f.Eng.AtArrive(tail, v)
+		lg.eng.AtArrive(tail, v)
 		// The returned timeline carries the uncontended estimate; the
 		// authoritative arrival is the onArrive callback's timestamp.
 		return Timeline{Depart: at, Injected: injected, Arrive: tail + dur + med + recvOv}
@@ -461,7 +568,15 @@ func (f *Fabric) deliverRemote(at sim.Time, msg Msg, onArrive sim.Arriver) Timel
 		e.Overhead += recvOv
 	}
 	if onArrive != nil {
-		f.Eng.AtArrive(arrive, onArrive)
+		if lg.part != nil {
+			// To the destination slab through the window merge. Tiebreak:
+			// the (src, dst) node pair; same-pair posts share the key and
+			// fall back to emission order, preserving per-flow FIFO.
+			key := uint64(uint32(msg.SrcNode))<<32 | uint64(uint32(msg.DstNode))
+			lg.eng.Post(lg.part.DomainOf(msg.DstNode), arrive, key, onArrive)
+		} else {
+			lg.eng.AtArrive(arrive, onArrive)
+		}
 	}
 	return Timeline{Depart: at, Injected: injected, Arrive: arrive}
 }

@@ -9,13 +9,13 @@ import (
 
 // HybridSession prices transfers for the hybrid fast path (core hybrid.go,
 // DESIGN.md §4i) without touching the fabric's event engine or resource
-// state. In the exact tier it replays the DES reservation arithmetic of
-// deliverRemote against a session-private busy ledger — bit-identical as
-// long as every link and injection port stays single-owner, which the
-// ledger enforces; in the analytic tier it charges the uncontended closed
-// form (every reservation granted at its request time). Because the ledger
-// is session-private and counters commit only on success, an aborted
-// session leaves the fabric pristine for the DES re-run.
+// state. In the exact tier it runs the fabric's own route walk
+// (deliverRemote) against a session-private ledger — bit-identical as long
+// as every link and injection port stays single-owner, which the ledger
+// enforces; in the analytic tier it charges the uncontended closed form
+// (every reservation granted at its request time). Because the ledger is
+// session-private and counters commit only on success, an aborted session
+// leaves the fabric pristine for the DES re-run.
 type HybridSession struct {
 	f     *Fabric
 	exact bool
@@ -26,40 +26,36 @@ type HybridSession struct {
 	// single lock keeps the ledger and route cache trivially consistent.
 	mu sync.Mutex
 
-	// Exact-tier busy ledger: mirrors sim.FIFOResource.Reserve per link
-	// and injection port, with an owner (rank+1, 0 = unclaimed) proving
-	// the single-owner condition that makes the replay exact.
-	linkBusy  []sim.Time
-	linkOwner []int32
-	txBusy    []sim.Time
-	txOwner   []int32
-
-	violated bool
-	reason   string
+	// led is the session's ledger: in the exact tier, private copies of
+	// every link and injection port plus their single-owner claims; in the
+	// analytic tier it only carries same-node transfers, which reserve
+	// nothing.
+	led ledger
 
 	msgs, bytes uint64
 }
 
 // BeginHybrid opens a pricing session on the fabric, or declines with a
 // reason (mirroring the EnableParallel admission style). Declines when the
-// sharded delivery is active, when links are degraded (per-link derates
-// are fault-injection state the closed forms do not model), or on a
-// non-torus fabric.
+// sharded delivery is active, on a non-torus fabric, or, for the analytic
+// tier, when links are degraded: per-link derates are fault-injection
+// state the closed form does not model, while the exact tier's route walk
+// applies them as the DES does.
 func (f *Fabric) BeginHybrid(exact bool) (*HybridSession, string) {
 	switch {
 	case f.par != nil:
 		return nil, "sharded delivery owns the fabric"
-	case f.derate != nil:
-		return nil, "degraded links require event-driven pricing"
+	case !exact && f.derate != nil:
+		return nil, "degraded links are outside the analytic closed form"
 	case f.M.Topology != machine.Torus3D:
 		return nil, "fabric is not a torus"
 	}
-	s := &HybridSession{f: f, exact: exact}
+	s := &HybridSession{f: f, exact: exact, led: ledger{routes: f.routes}}
 	if exact {
-		s.linkBusy = make([]sim.Time, f.Tor.NumLinks())
-		s.linkOwner = make([]int32, f.Tor.NumLinks())
-		s.txBusy = make([]sim.Time, f.Tor.Nodes())
-		s.txOwner = make([]int32, f.Tor.Nodes())
+		s.led.links = make([]sim.FIFOResource, f.Tor.NumLinks())
+		s.led.nicTx = make([]sim.FIFOResource, f.Tor.Nodes())
+		s.led.linkOwner = make([]int32, f.Tor.NumLinks())
+		s.led.txOwner = make([]int32, f.Tor.Nodes())
 	}
 	return s, ""
 }
@@ -73,101 +69,33 @@ const hybridViolationReason = "link ownership violation (routes of concurrent ra
 // rank. ok=false means the exact ledger detected shared ownership — the
 // session is dead (every later Price also fails) and the caller must abort
 // the hybrid run.
+//
+// The exact tier's timings equal the DES's bit for bit because (a) each
+// ledger slot sees reservations from exactly one rank, in that rank's
+// program order — the same order the serial engine would issue them — and
+// (b) the arithmetic is the DES's own route walk, not a replay of it.
+// Exact admission is SN-only, so the walk's VN stages never run here.
 func (s *HybridSession) Price(at sim.Time, msg Msg, rank int) (tl Timeline, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.violated {
+	if s.led.violated {
 		return Timeline{}, false
 	}
-	if msg.SrcNode == msg.DstNode {
-		// Same arithmetic as the DES local path (pure, reservation-free).
-		tl = s.f.deliverLocal(at, msg)
-	} else if s.exact {
-		tl, ok = s.priceExact(at, msg, rank)
-		if !ok {
-			s.violated = true
-			s.reason = hybridViolationReason
+	switch {
+	case msg.SrcNode == msg.DstNode:
+		tl = s.f.deliverLocal(&s.led, at, msg, nil)
+	case s.exact:
+		s.led.claimant = int32(rank) + 1
+		tl = s.f.deliverRemote(&s.led, at, msg, nil)
+		if s.led.violated {
 			return Timeline{}, false
 		}
-	} else {
+	default:
 		tl = s.priceAnalytic(at, msg)
 	}
 	s.msgs++
 	s.bytes += uint64(msg.Bytes)
 	return tl, true
-}
-
-// claim checks/establishes single ownership of a ledger entry.
-func claim(owner []int32, i int, rank int32) bool {
-	switch owner[i] {
-	case 0:
-		owner[i] = rank + 1
-		return true
-	case rank + 1:
-		return true
-	}
-	return false
-}
-
-// reserve mirrors sim.FIFOResource.Reserve against a ledger slot.
-func reserve(busy []sim.Time, i int, at sim.Time, dur float64) sim.Time {
-	start := at
-	if busy[i] > start {
-		start = busy[i]
-	}
-	busy[i] = start + dur
-	return start
-}
-
-// priceExact replays deliverRemote's reservation arithmetic step for step
-// against the session ledger. The replay is bit-identical to the DES
-// because (a) each ledger slot sees reservations from exactly one rank, in
-// that rank's program order — the same order the serial engine would issue
-// them — and (b) every floating-point operation below matches the DES path
-// operation for operation. Exact admission is SN-only, so the VN branches
-// of the DES path are dead here by construction.
-func (s *HybridSession) priceExact(at sim.Time, msg Msg, rank int) (Timeline, bool) {
-	f := s.f
-	nic := f.M.NIC
-	link := f.M.Link
-	size := float64(msg.Bytes)
-	r32 := int32(rank)
-
-	t := at + nic.SendOverheadUS*usToS
-	route := f.routes.LinkIDs(msg.SrcNode, msg.DstNode)
-	hops := len(route)
-
-	if nic.RendezvousThresholdBytes > 0 && msg.Bytes > int64(nic.RendezvousThresholdBytes) {
-		rtt := 2 * (nic.SendOverheadUS*usToS + float64(hops)*link.HopLatencyUS*usToS)
-		t += rtt
-	}
-
-	injTime := size / nic.EffBW()
-	if !claim(s.txOwner, msg.SrcNode, r32) {
-		return Timeline{}, false
-	}
-	t0 := reserve(s.txBusy, msg.SrcNode, t, injTime)
-
-	head := t0
-	var lastStart sim.Time = t0
-	lastSer := 0.0
-	for _, id := range route {
-		if !claim(s.linkOwner, int(id), r32) {
-			return Timeline{}, false
-		}
-		linkSer := size / link.BW
-		req := head + link.HopLatencyUS*usToS
-		st := reserve(s.linkBusy, int(id), req, linkSer)
-		head = st
-		lastStart = st
-		lastSer = linkSer
-	}
-
-	tail := lastStart + lastSer
-	if lower := t0 + injTime + float64(hops)*link.HopLatencyUS*usToS; lower > tail {
-		tail = lower
-	}
-	return Timeline{Depart: at, Injected: t0 + injTime, Arrive: tail + nic.RecvOverheadUS*usToS}, true
 }
 
 // priceAnalytic is deliverRemote with every reservation granted at its
@@ -220,7 +148,10 @@ func (s *HybridSession) priceAnalytic(at sim.Time, msg Msg) Timeline {
 func (s *HybridSession) Violated() (bool, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.violated, s.reason
+	if s.led.violated {
+		return true, hybridViolationReason
+	}
+	return false, ""
 }
 
 // Commit folds the session's delivery counters into the fabric. Call once,

@@ -4,9 +4,11 @@ package network
 // domains (torus.Partition), driven by the conservative sharded scheduler
 // (sim.ShardedEngine). See DESIGN.md §4h for the invariants.
 //
-// Deliver runs, as in serial mode, entirely inside the sender's event —
-// but reserves only resources owned by the sender's slab: its NIC
-// injection port and every route link whose From-node lies in the slab.
+// Deliver runs, as in serial mode, entirely inside the sender's event and
+// walks the route with the serial fabric's own deliverRemote — but against
+// the sending slab's domain ledger, which reserves only resources owned by
+// that slab: its NIC injection port and every route link whose From-node
+// lies in the slab.
 // Dimension-ordered routing plus slabbing along the last routed axis mean
 // the route's whole pre-axis prefix and its first axis hop are
 // slab-owned, so for nearest-neighbour traffic (the S3D/halo class the
@@ -41,25 +43,22 @@ func Lookahead(m machine.Machine) sim.Time {
 	return (m.NIC.SendOverheadUS + m.Link.HopLatencyUS + m.NIC.RecvOverheadUS) * usToS
 }
 
-// fabricDomain is one slab's private fabric state. Each field is touched
+// fabricDomain is one slab's private fabric state: its ledger (shared link
+// and port arrays, slab-owned entries only; private route cache, engine
+// and timeline collector) and its delivery counters. Each field is touched
 // only by that slab's worker goroutine between barriers (and by the
-// coordinator thread at setup/fold time); the trailing pad keeps adjacent
-// domains' hot counters off one cache line.
+// coordinator thread at setup/fold time), so the ledger's timeline
+// sampling needs no synchronisation; the recorder folds the collectors
+// deterministically after the terminal window barrier. The trailing pad
+// keeps adjacent domains' hot counters off one cache line.
 type fabricDomain struct {
+	ledger
 	msgs, bytes uint64
-	foreignHops uint64
-	routes      *torus.RouteCache
-	// tl is this slab's private timeline collector, nil unless the system
-	// enabled the flight recorder. Worker-local like every other field, so
-	// sampling needs no synchronisation; the recorder folds the collectors
-	// deterministically after the terminal window barrier.
-	tl *timeline.Collector
-	_  [4]uint64
+	_           [4]uint64
 }
 
 // parState is the fabric's parallel-mode attachment.
 type parState struct {
-	sh     *sim.ShardedEngine
 	part   torus.Partition
 	dom    []fabricDomain
 	folded bool
@@ -83,14 +82,16 @@ func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition) {
 	if f.tel != nil || f.cp != nil {
 		panic("network: parallel fabric is incompatible with telemetry/critpath recording")
 	}
-	d := part.NumDomains()
-	cacheMax := maxRouteCacheEntries
-	if pairs := f.Tor.Nodes() * f.Tor.Nodes(); pairs < cacheMax {
-		cacheMax = pairs
-	}
-	p := &parState{sh: sh, part: part, dom: make([]fabricDomain, d)}
+	p := &parState{part: part, dom: make([]fabricDomain, part.NumDomains())}
 	for i := range p.dom {
-		p.dom[i].routes = torus.NewRouteCache(f.Tor, cacheMax)
+		p.dom[i].ledger = ledger{
+			links:  f.links,
+			nicTx:  f.nicTx,
+			routes: newRouteCache(f.Tor),
+			eng:    sh.Engine(i),
+			part:   &p.part,
+			dom:    i,
+		}
 	}
 	f.par = p
 }
@@ -171,97 +172,4 @@ func (f *Fabric) DomainMsgs() []uint64 {
 		out[i] = p.dom[i].msgs
 	}
 	return out
-}
-
-// deliverParallel is Deliver in sharded mode. It must execute on the
-// sending node's domain engine (which it does: only that slab's ranks send
-// from that node).
-func (f *Fabric) deliverParallel(at sim.Time, msg Msg, onArrive sim.Arriver) Timeline {
-	p := f.par
-	srcDom := p.part.DomainOf(msg.SrcNode)
-	d := &p.dom[srcDom]
-	d.msgs++
-	d.bytes += uint64(msg.Bytes)
-	eng := p.sh.Engine(srcDom)
-
-	if msg.SrcNode == msg.DstNode {
-		tl := f.deliverLocal(at, msg)
-		if onArrive != nil {
-			eng.AtArrive(tl.Arrive, onArrive)
-		}
-		return tl
-	}
-	if msg.Mode == machine.VN && f.M.NIC.VNProxyUS > 0 {
-		// The VN proxy serialises both slabs' traffic through one shared
-		// handling core with arrival-order queueing; core.System's
-		// admission check falls back to serial before it gets here.
-		panic("network: VN-mode delivery on the parallel fabric")
-	}
-
-	nic := f.M.NIC
-	link := f.M.Link
-	size := float64(msg.Bytes)
-
-	t := at + nic.SendOverheadUS*usToS
-	route := d.routes.LinkIDs(msg.SrcNode, msg.DstNode)
-	hops := len(route)
-
-	if nic.RendezvousThresholdBytes > 0 && msg.Bytes > int64(nic.RendezvousThresholdBytes) {
-		t += 2 * (nic.SendOverheadUS*usToS + float64(hops)*link.HopLatencyUS*usToS)
-	}
-
-	injTime := size / nic.EffBW()
-	t0 := f.nicTx[msg.SrcNode].Reserve(t, injTime)
-	if d.tl != nil {
-		d.tl.Sample(timeline.NIC, t, t0, t0+injTime)
-	}
-
-	// Walk the route exactly as the serial fabric does, but stop reserving
-	// at the first link owned by another slab: Z is routed last and
-	// monotonically, so every link from there on is foreign too.
-	head := t0
-	var lastStart sim.Time = t0
-	lastSer := 0.0
-	foreign := false
-	for _, id := range route {
-		bw := link.BW
-		if f.derate != nil {
-			bw *= f.derate[id]
-		}
-		linkSer := size / bw
-		req := head + link.HopLatencyUS*usToS
-		if !foreign && p.part.DomainOfLink(int(id)) != srcDom {
-			foreign = true
-		}
-		var s sim.Time
-		if foreign {
-			d.foreignHops++
-			s = req // uncontended wire time; see package comment
-		} else {
-			s = f.links[id].Reserve(req, linkSer)
-		}
-		if d.tl != nil {
-			// Foreign hops sampled by the sending slab at wire time (zero
-			// wait, s == req) — outside the zero-foreign-hop equivalence
-			// class only, where byte identity is not promised anyway.
-			d.tl.Sample(timeline.Link, req, s, s+linkSer)
-		}
-		head = s
-		lastStart = s
-		lastSer = linkSer
-	}
-
-	tail := lastStart + lastSer
-	if lower := t0 + injTime + float64(hops)*link.HopLatencyUS*usToS; lower > tail {
-		tail = lower
-	}
-	arrive := tail + nic.RecvOverheadUS*usToS
-	if onArrive != nil {
-		dstDom := p.part.DomainOf(msg.DstNode)
-		// Merge tiebreak: (src, dst) node pair. Same-pair posts share the
-		// key and fall back to emission order, preserving per-flow FIFO.
-		key := uint64(uint32(msg.SrcNode))<<32 | uint64(uint32(msg.DstNode))
-		eng.Post(dstDom, arrive, key, onArrive)
-	}
-	return Timeline{Depart: at, Injected: t0 + injTime, Arrive: arrive}
 }
