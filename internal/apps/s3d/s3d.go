@@ -160,8 +160,8 @@ func RunOn(sys *core.System, b Benchmark) Result {
 	// The proxy is pure point-to-point (ghost exchanges, no collectives),
 	// so Algorithmic and Auto are behaviourally identical — but declaring
 	// Algorithmic keeps the sharded parallel scheduler engaged at scale
-	// (mpi.Run's fallback gate assumes Auto runs past the analytic
-	// threshold will need engine-global collective state).
+	// (mpi.Run tells the engine plan that Auto runs past the analytic
+	// threshold need engine-global collective state).
 	elapsed := mpi.Run(sys, mpi.Algorithmic, func(p *mpi.P) {
 		me := p.Rank()
 		mx := me % px

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"xtsim/internal/machine"
-)
-
 // Hybrid rank execution (DESIGN.md §4i): a run admitted to hybrid mode
 // skips goroutine-per-rank discrete-event scheduling entirely — every rank
 // advances a private clock through closed-form pricing of its compute and
@@ -58,89 +54,56 @@ type HybClock struct {
 	T float64
 }
 
-// EnableHybrid asks the system to run ranks on the hybrid fast path at the
-// given tier. It reports whether hybrid mode engaged; outside the
-// admission envelope the system stays on the DES and HybridReason explains
-// why (mirroring EnableParallel/ParallelReason).
-//
-// Admission requires: a torus machine; the serial engine (the sharded
-// scheduler owns rank execution); no telemetry, critical-path recording,
-// or tracer (hybrid ranks produce no per-event records to aggregate); no
-// compute noise (the noise RNG is a shared sequential stream with no
-// deterministic hybrid order); and, for the exact tier, SN placement
-// (VN shares the NIC proxy core, whose queueing is arrival-ordered and
-// cannot be priced from a per-rank ledger).
-//
-// Call after NewSystem and any Enable* calls, before mpi.Run. The MPI
-// layer may still fall back at run time (exact-tier ledger violation);
-// it calls DisableHybrid itself and the run restarts on the DES.
+// EnableHybrid requests the hybrid fast path at the given tier (HybridOff
+// withdraws a request). It records the request and reports the admission
+// table's current verdict (admission.go); the engine is fixed when the
+// first mpi.NewWorld/Run or System.Run plans it, and HybridReason explains
+// a decline. Call it before that point. An admitted exact run may still
+// abort to the DES at run time (AbortHybrid).
 func (s *System) EnableHybrid(tier HybridTier) bool {
-	if s.hybTier != HybridOff {
-		return true
-	}
-	reason := ""
-	switch {
-	case tier == HybridOff:
-		reason = "hybrid off requested"
-	case s.M.Topology != machine.Torus3D:
-		reason = "machine is not a torus"
-	case s.par != nil:
-		reason = "sharded scheduler owns rank execution"
-	case s.Tel != nil:
-		reason = "telemetry aggregation needs per-event records"
-	case s.CP != nil:
-		reason = "critical-path recording needs per-event records"
-	case s.Tracer != nil:
-		reason = "tracer ordering needs the event schedule"
-	case s.Tl != nil:
-		reason = timelineHybridReason
-	case s.NoiseAmp > 0:
-		reason = "noise RNG is a shared sequential stream"
-	case s.ioAttached:
-		reason = ioSharedReason
-	case tier == HybridExact && s.vnProxied():
-		reason = "VN placement queues on the shared NIC proxy core"
-	}
-	if reason != "" {
-		s.hybReason = reason
-		recordFallback("hybrid", reason)
-		return false
-	}
-	s.hybTier = tier
-	s.hybReason = ""
-	return true
+	s.configure("EnableHybrid")
+	s.req = s.req&^hybrid | engines(tier)&hybrid
+	return s.HybridEnabled()
 }
 
-// vnProxied reports whether the system's ranks share nodes or its messages
-// pass the VN proxy core (VN mode on a single-core machine places one task
-// per node but still pays the proxy stages). The proxy core queues in
-// arrival order, which only the serial engine's route walk can book, so
-// both fast paths decline such systems.
-func (s *System) vnProxied() bool {
-	return s.Mode == machine.VN && (s.TasksPerNode > 1 || s.M.NIC.VNProxyUS > 0)
-}
-
-// DisableHybrid reverts the system to the DES, recording why (surfaced by
-// HybridReason). Safe to call when already off.
-func (s *System) DisableHybrid(reason string) {
+// AbortHybrid is the one engine transition after planning: an exact run
+// whose ledger observed something it cannot prove drops to the DES, and
+// mpi.Run re-executes it there on the untouched fabric. The abort is
+// counted in the fallback ledger and surfaced by HybridReason.
+func (s *System) AbortHybrid(reason string) {
+	if s.hybTier != HybridExact {
+		panic("core: AbortHybrid without a planned exact hybrid run")
+	}
 	s.hybTier = HybridOff
-	if reason != "" {
-		s.hybReason = reason
-		recordFallback("hybrid", reason)
-	}
+	s.hybReason = reason
+	recordFallback("hybrid", reason)
 }
 
-// HybridEnabled reports whether the next mpi.Run attempts the hybrid fast
-// path.
-func (s *System) HybridEnabled() bool { return s.hybTier != HybridOff }
+// HybridEnabled reports whether mpi.Run attempts the hybrid fast path.
+func (s *System) HybridEnabled() bool { return s.HybridTier() != HybridOff }
 
-// HybridTier reports the admitted tier (HybridOff when not enabled).
-func (s *System) HybridTier() HybridTier { return s.hybTier }
+// HybridTier reports the hybrid tier the system runs at (HybridOff on the
+// DES): the planned tier once planned, the table's current verdict on the
+// request before.
+func (s *System) HybridTier() HybridTier {
+	if s.planned {
+		return s.hybTier
+	}
+	if e := s.req & hybrid; e != 0 && s.declined(e) == "" {
+		return HybridTier(e)
+	}
+	return HybridOff
+}
 
-// HybridReason explains why the system is (or ended up) running on the
-// DES after an EnableHybrid attempt — empty when hybrid engaged or was
-// never requested. Queryable like ParallelReason.
-func (s *System) HybridReason() string { return s.hybReason }
+// HybridReason explains why an EnableHybrid request declines, or why an
+// exact run aborted to the DES; empty when hybrid engaged or was never
+// requested.
+func (s *System) HybridReason() string {
+	if e := s.req & hybrid; !s.planned && e != 0 {
+		return s.declined(e)
+	}
+	return s.hybReason
+}
 
 // HybridRank builds a rank execution context for the hybrid fast path:
 // the same placement and cost-model surface as a DES rank, but driven by

@@ -1,122 +1,48 @@
 package core
 
 import (
-	"fmt"
-
-	"xtsim/internal/machine"
-	"xtsim/internal/network"
 	"xtsim/internal/sim"
 	"xtsim/internal/telemetry"
 	"xtsim/internal/torus"
 )
 
-// parRun is the system's parallel-scheduling state, nil in serial mode.
+// parRun is the planned sharded engine, nil on every other engine.
 type parRun struct {
 	sh   *sim.ShardedEngine
 	part torus.Partition
 }
 
-// EnableParallel asks the system to run on `shards` sharded torus domains
-// under the conservative parallel scheduler (sim.ShardedEngine +
-// torus.Partition + the fabric's sharded delivery; DESIGN.md §4h). It
-// reports whether parallel mode engaged; when the system is outside the
-// admission envelope it stays serial and ParallelReason explains why.
-//
-// Admission requires: shards ≥ 2; a torus machine in SN placement (one
-// task per node — the VN proxy core is cross-slab shared state); no
-// telemetry, critical-path recording, or tracer (their aggregation is
-// cross-domain shared state); no compute noise (the noise RNG is a shared
-// sequential stream); and a torus actually divisible into 2+ slabs.
-//
-// Call after NewSystem and any Enable*/SetPlacement calls, before
-// mpi.NewWorld / Run. The MPI layer adds one more gate at Run time —
-// analytic collectives coordinate through engine-global state — and calls
-// DisableParallel itself for such runs, which is the "fall back to a
-// single thread for global collectives" policy.
+// EnableParallel requests the conservative sharded scheduler on `shards`
+// torus slab domains (sim.ShardedEngine + torus.Partition + the fabric's
+// domain ledgers; DESIGN.md §4h). It records the request and reports the
+// admission table's current verdict (admission.go); the engine is fixed
+// when the first mpi.NewWorld/Run or System.Run plans it, and
+// ParallelReason explains a decline. Call it before that point.
 func (s *System) EnableParallel(shards int) bool {
-	if s.par != nil {
-		return true
-	}
-	reason := ""
-	switch {
-	case shards < 2:
-		reason = "fewer than 2 shards requested"
-	case s.M.Topology != machine.Torus3D:
-		reason = "machine is not a torus"
-	case s.vnProxied():
-		reason = "VN placement shares the NIC proxy core across slabs"
-	case s.Tel != nil:
-		reason = "telemetry aggregation is cross-domain shared state"
-	case s.CP != nil:
-		reason = "critical-path recording is cross-domain shared state"
-	case s.Tracer != nil:
-		reason = "tracer ordering is cross-domain shared state"
-	case s.NoiseAmp > 0:
-		reason = "noise RNG is a shared sequential stream"
-	case s.ioAttached:
-		reason = ioSharedReason
-	}
-	if reason == "" {
-		part := torus.NewPartition(s.Fabric.Tor, shards)
-		if part.NumDomains() < 2 {
-			reason = fmt.Sprintf("torus %v has a single plane on the slab axis", s.Fabric.Tor)
-		} else {
-			sh := sim.NewSharded(part.NumDomains(), network.Lookahead(s.M))
-			s.par = &parRun{sh: sh, part: part}
-			s.Fabric.EnableParallel(sh, part)
-			if s.Tl != nil {
-				// Timeline recording stays ON under sharding: each domain
-				// gets a private collector, folded deterministically after
-				// the run (DESIGN.md §4k).
-				s.Tl.Shard(part.NumDomains())
-				s.Fabric.TimelineShard(s.Tl.Collectors())
-			}
-			s.rebindNodeResources()
-			return true
-		}
-	}
-	s.parReason = reason
-	recordFallback("parallel", reason)
-	return false
+	s.configure("EnableParallel")
+	s.req |= sharded
+	s.shards = shards
+	return s.ParallelEnabled()
 }
 
-// DisableParallel reverts the system to the serial engine, recording why
-// (surfaced by ParallelReason). Safe to call when already serial; must not
-// be called once Run has started.
-func (s *System) DisableParallel(reason string) {
-	if s.par == nil {
-		if reason != "" && s.parReason == "" {
-			s.parReason = reason
-		}
-		return
+// ParallelEnabled reports whether the system runs on the sharded
+// scheduler: the planned engine once planned, the table's current verdict
+// on the request before.
+func (s *System) ParallelEnabled() bool {
+	if s.planned {
+		return s.par != nil
 	}
-	s.par = nil
-	s.parReason = reason
-	recordFallback("parallel", reason)
-	s.Fabric.DisableParallel()
-	if s.Tl != nil {
-		// Back to serial shape: fold the (traffic-free) domain collectors
-		// and reinstall the single collector on the serial fabric path.
-		s.Tl.Unshard()
-		s.Fabric.EnableTimeline(s.Tl.Dom(0))
-	}
-	s.rebindNodeResources()
+	return s.req&sharded != 0 && s.declined(sharded) == ""
 }
 
-// ParallelEnabled reports whether the next Run uses the sharded scheduler.
-func (s *System) ParallelEnabled() bool { return s.par != nil }
-
-// ParallelDomains reports the shard count (0 when serial).
-func (s *System) ParallelDomains() int {
-	if s.par == nil {
-		return 0
+// ParallelReason explains why an EnableParallel request declines (empty
+// when it is admitted or was never made).
+func (s *System) ParallelReason() string {
+	if !s.planned && s.req&sharded != 0 {
+		return s.declined(sharded)
 	}
-	return s.par.part.NumDomains()
+	return s.parReason
 }
-
-// ParallelReason explains why the system is running serially after an
-// EnableParallel attempt (empty when parallel engaged or never requested).
-func (s *System) ParallelReason() string { return s.parReason }
 
 // DomainOf maps a node to its scheduling domain (0 when serial).
 func (s *System) DomainOf(node int) int {
@@ -142,18 +68,6 @@ func (s *System) EngFor(node int) *sim.Engine {
 		return s.Eng
 	}
 	return s.par.sh.Engine(s.par.part.DomainOf(node))
-}
-
-// rebindNodeResources rebuilds each node's processor-sharing resources on
-// the engine that now owns the node, preserving capacities. PSResources
-// schedule their own completion events, so they must live on the engine
-// whose domain executes the node's ranks.
-func (s *System) rebindNodeResources() {
-	for i, n := range s.Nodes {
-		eng := s.EngFor(i)
-		n.Stream = sim.NewPSResource(eng, n.Stream.Capacity)
-		n.Random = sim.NewPSResource(eng, n.Random.Capacity)
-	}
 }
 
 // ParallelStats returns the per-domain window statistics of a completed

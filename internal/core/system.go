@@ -57,7 +57,8 @@ type System struct {
 	// NoiseAmp optionally adds OS-jitter to compute phases as a uniform
 	// multiplicative perturbation in [0, NoiseAmp]. Catamount was designed
 	// to eliminate jitter (§2), so XT experiments leave this zero; it
-	// exists for the full-Linux counterfactual ablation.
+	// exists for the full-Linux counterfactual ablation. Like Tracer, it
+	// constrains the engine, so set it before mpi.NewWorld/Run.
 	NoiseAmp float64
 	// Tracer, when non-nil, receives a span for every compute phase (and,
 	// via the mpi package, every MPI operation), with simulated
@@ -76,28 +77,30 @@ type System struct {
 	// same nil-gate idiom as Tel/CP. Unlike those, it composes with the
 	// sharded scheduler: each domain samples into its own collector and
 	// Run folds them deterministically after the terminal window barrier
-	// (DESIGN.md §4k). The hybrid fast path still declines — free-running
-	// ranks produce no per-event reservations to sample.
+	// (DESIGN.md §4k).
 	Tl *timeline.Recorder
 	// Rng drives noise; owned by the experiment for reproducibility.
 	Rng *rand.Rand
 
-	// par is the sharded-scheduler state, nil in serial mode; parReason
-	// records why a parallel request fell back. See parallel.go.
-	par       *parRun
-	parReason string
-
-	// hybTier is the admitted hybrid fast-path tier (HybridOff = DES);
-	// hybReason records why a hybrid request declined or fell back. See
-	// hybrid.go.
-	hybTier   HybridTier
-	hybReason string
+	// req and shards are the fast-path requests EnableParallel and
+	// EnableHybrid recorded. Plan decides them once (admission.go): from
+	// then on planned is set, par is the sharded engine (nil otherwise;
+	// see parallel.go), hybTier the hybrid tier (HybridOff = DES; see
+	// hybrid.go), and the reasons say why a request declined. globalColl
+	// marks runs whose collectives meet at engine-global points.
+	req        engines
+	shards     int
+	planned    bool
+	globalColl bool
+	par        *parRun
+	parReason  string
+	hybTier    HybridTier
+	hybReason  string
 
 	// ioAttached marks that an I/O subsystem (lustre filesystem, checkpoint
-	// writer) registered itself via AttachIO. Its MDS/OSS/OST resources are
-	// engine-global shared state, so the parallel scheduler and the hybrid
-	// fast path decline while it is set. ioReport, when non-nil, contributes
-	// the I/O section of TelemetryReport.
+	// writer) registered itself via AttachIO; its MDS/OSS/OST resources
+	// are engine-global shared state (an admission row). ioReport, when
+	// non-nil, contributes the I/O section of TelemetryReport.
 	ioAttached bool
 	ioReport   func(horizon float64) *telemetry.IOReport
 }
@@ -159,9 +162,10 @@ func NewSystemSIO(m machine.Machine, mode machine.Mode, nTasks, sioNodes int) *S
 
 // EnableTelemetry switches on the observability layer for this system:
 // fabric byte counters now, MPI statistics when a World is created.
-// Idempotent; call before creating the MPI world and before the traffic of
-// interest. Returns the system for chaining.
+// Idempotent; call before mpi.NewWorld/Run. Returns the system for
+// chaining.
 func (s *System) EnableTelemetry() *System {
+	s.configure("EnableTelemetry")
 	if s.Tel == nil {
 		s.Tel = &telemetry.Set{Fabric: s.Fabric.EnableTelemetry()}
 	}
@@ -187,34 +191,21 @@ func (s *System) TelemetryReport() *telemetry.Report {
 	return rep
 }
 
-// timelineHybridReason is recorded when the flight recorder forces a
-// hybrid request back onto the DES.
-const timelineHybridReason = "timeline recording needs per-event reservation records"
-
 // EnableTimeline switches on the phase-resolved flight recorder: fabric
 // reservations (links, NICs, VN proxies) are sampled into fixed
-// simulated-time bins from now on, applications may emit phase spans via
-// the MPI layer, and TimelineReport joins the two. Composable with the
-// sharded scheduler (per-domain collectors, folded deterministically after
-// the run) and with telemetry/critpath on the serial engine; an admitted
-// hybrid fast path is revoked — free-running ranks have no reservations to
-// sample. Idempotent; call before creating the MPI world and before the
-// traffic of interest. Returns the system for chaining.
+// simulated-time bins, applications may emit phase spans via the MPI
+// layer, and TimelineReport joins the two. Composable with the sharded
+// scheduler (per-domain collectors, folded deterministically after the
+// run) and with telemetry/critpath on the serial engine; the hybrid fast
+// path declines it. Idempotent; call before mpi.NewWorld/Run. Returns the
+// system for chaining.
 func (s *System) EnableTimeline() *System {
-	if s.Tl != nil {
-		return s
-	}
-	if s.hybTier != HybridOff {
-		s.DisableHybrid(timelineHybridReason)
-	}
-	s.Tl = timeline.NewRecorder(s.NumTasks)
-	s.Tl.SetResources(timeline.Link, s.Fabric.NumLinks())
-	s.Tl.SetResources(timeline.NIC, s.Fabric.Tor.Nodes())
-	s.Tl.SetResources(timeline.VNProxy, s.Fabric.Tor.Nodes())
-	if s.par != nil {
-		s.Tl.Shard(s.par.part.NumDomains())
-		s.Fabric.TimelineShard(s.Tl.Collectors())
-	} else {
+	s.configure("EnableTimeline")
+	if s.Tl == nil {
+		s.Tl = timeline.NewRecorder(s.NumTasks)
+		s.Tl.SetResources(timeline.Link, s.Fabric.NumLinks())
+		s.Tl.SetResources(timeline.NIC, s.Fabric.Tor.Nodes())
+		s.Tl.SetResources(timeline.VNProxy, s.Fabric.Tor.Nodes())
 		s.Fabric.EnableTimeline(s.Tl.Dom(0))
 	}
 	return s
@@ -234,10 +225,11 @@ func (s *System) TimelineReport(horizon float64) *timeline.Report {
 // EnableCritPath switches on causal recording for this system: the fabric
 // records happens-before edges now, the MPI runtime records blocked
 // segments when a World is created. Composable with EnableTelemetry.
-// Idempotent; call before creating the MPI world. Returns the system for
+// Idempotent; call before mpi.NewWorld/Run. Returns the system for
 // chaining. The recorder uses critpath.DefaultCap; build a
 // critpath.NewRecorder and assign CP directly to choose another cap.
 func (s *System) EnableCritPath() *System {
+	s.configure("EnableCritPath")
 	if s.CP == nil {
 		s.CP = critpath.NewRecorder(s.NumTasks, 0)
 		s.Fabric.EnableCritPath(s.CP)
@@ -245,27 +237,17 @@ func (s *System) EnableCritPath() *System {
 	return s
 }
 
-// ioSharedReason is the admission/fallback reason recorded when the I/O
-// subsystem forces the simulator onto the serial DES.
-const ioSharedReason = "I/O subsystem resources (MDS, OSS/OST) are engine-global shared state"
-
 // AttachIO registers an I/O subsystem (a Lustre filesystem, typically via
-// lustre.Attach) with the system. From here on the parallel scheduler and
-// the hybrid fast path decline — the filesystem's MDS FIFO queue and
-// OSS/OST processor-sharing resources are engine-global, so sharded or
-// free-running execution would race on them — and an already-admitted fast
-// path is revoked before it can diverge. report, when non-nil, supplies
-// the I/O section of TelemetryReport.
+// lustre.Attach) with the system. The filesystem's MDS FIFO queue and
+// OSS/OST processor-sharing resources are engine-global, so the admission
+// table keeps such a system on the serial DES. report, when non-nil,
+// supplies the I/O section of TelemetryReport. Call before
+// mpi.NewWorld/Run.
 func (s *System) AttachIO(report func(horizon float64) *telemetry.IOReport) {
+	s.configure("AttachIO")
 	s.ioAttached = true
 	if report != nil {
 		s.ioReport = report
-	}
-	if s.par != nil {
-		s.DisableParallel(ioSharedReason)
-	}
-	if s.hybTier != HybridOff {
-		s.DisableHybrid(ioSharedReason)
 	}
 }
 
@@ -341,8 +323,10 @@ type Rank struct {
 }
 
 // Run spawns body for every task and runs the simulation to completion,
-// returning the simulated makespan in seconds.
+// returning the simulated makespan in seconds. The first Run (or
+// mpi.NewWorld) plans the engine; later ones re-check it (see Plan).
 func (s *System) Run(body func(r *Rank)) sim.Time {
+	s.Plan(false)
 	for t := 0; t < s.NumTasks; t++ {
 		node, coreIdx := s.Place(t)
 		r := &Rank{sys: s, ID: t, NodeID: node, Core: coreIdx}

@@ -34,8 +34,8 @@ func init() {
 func runCongested(o Options, mode machine.Mode, tasks, iters int, bytesEach int64) (*telemetry.Report, sim.Time, error) {
 	sys := core.NewSystem(machine.XT4(), mode, tasks).EnableTelemetry()
 	if o.Shards > 1 {
-		// Exercises the admission fallback: telemetry aggregation is
-		// cross-domain shared state, so this always declines and the run
+		// Exercises the admission fallback: telemetry aggregates on the
+		// serial engine, so the engine plan always declines this and the run
 		// stays serial — output is byte-identical for any -shards value.
 		sys.EnableParallel(o.Shards)
 	}

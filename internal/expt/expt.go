@@ -79,10 +79,10 @@ type Options struct {
 	// by `xtsim -shards`. Two layers honour it (DESIGN.md §4h): sweeps of
 	// independent systems evaluate their cells on a worker pool, and
 	// SN-mode nearest-neighbour workloads run on the sharded
-	// discrete-event scheduler. Experiments outside the parallel admission
-	// envelope (telemetry, VN placement, analytic collectives) fall back
-	// to serial automatically — rendered output is byte-identical for any
-	// Shards value.
+	// discrete-event scheduler. Experiments the admission table declines
+	// (DESIGN.md §4l: telemetry, VN placement, analytic collectives, …)
+	// fall back to serial automatically — rendered output is
+	// byte-identical for any Shards value.
 	Shards int `json:"shards"`
 	// Hybrid selects the hybrid rank fast path (DESIGN.md §4i), set by
 	// `xtsim -hybrid`. "" leaves each experiment's default in place

@@ -48,7 +48,7 @@ func runExtCheckpoint(res *Result, o Options) error {
 	t.Row("stripes", "step+ckpt cycle (s)", "I/O share", "write GB/s")
 	for _, stripes := range []int{1, 4, 16, 64} {
 		sys := core.NewSystem(machine.XT4(), machine.VN, tasks)
-		fs, err := lustre.New(sys.Eng, sys.Fabric, lustre.DefaultConfig())
+		fs, err := lustre.Attach(sys, lustre.DefaultConfig())
 		if err != nil {
 			return err
 		}

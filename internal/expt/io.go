@@ -180,8 +180,9 @@ func runExtCkpt(res *Result, o Options) error {
 			sys.EnableCritPath()
 		}
 		if o.Shards > 1 {
-			// Declines (telemetry, then the I/O attach would revoke anyway)
-			// — output-transparent, asserted by the shards identity test.
+			// Declined when the engine is planned (telemetry and the I/O
+			// attach are both admission rows) — output-transparent,
+			// asserted by the shards identity test.
 			sys.EnableParallel(o.Shards)
 		}
 		edge := globalEdge / icbrt(tasks)

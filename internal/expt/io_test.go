@@ -53,9 +53,9 @@ func TestExtCkptHonorsCadenceOption(t *testing.T) {
 }
 
 // TestExtCkptShardsFallbackReason documents why ext-ckpt's cells stay on
-// the serial engine under -shards: telemetry declines the request up
-// front, and even without telemetry the I/O attach would revoke it. The
-// rendered-output identity across shard counts rides on this.
+// the serial engine under -shards: telemetry declines the request, and
+// even without telemetry the I/O attach declines it, whichever call came
+// first. The rendered-output identity across shard counts rides on this.
 func TestExtCkptShardsFallbackReason(t *testing.T) {
 	sys := core.NewSystemSIO(machine.XT4(), machine.SN, 8, 4)
 	sys.EnableTelemetry()

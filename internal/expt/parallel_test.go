@@ -30,7 +30,7 @@ func renderExpt(t *testing.T, id string, o Options) string {
 // at -shards 4 is byte-identical to the serial run. The I/O experiments
 // (ext-io, ext-ckpt) exercise the conservative fallback: their cells fan
 // out on the worker pool, but within each cell the engine must stay serial
-// (telemetry, then the I/O attach — see TestExtCkptShardsFallbackReason).
+// (telemetry and the I/O attach — see TestExtCkptShardsFallbackReason).
 func TestShardsOutputByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders six experiments twice")

@@ -51,10 +51,10 @@ func runExtTimeline(res *Result, o Options) error {
 	sys := core.NewSystemSIO(machine.XT4(), machine.SN, tasks, fsCfg.OSSCount)
 	sys.EnableTimeline()
 	if o.Shards > 1 {
-		// The I/O attach below revokes the sharded scheduler (the filesystem
-		// shares the engine), folding the timeline recorder back to one
-		// collector before any event runs — output-transparent, asserted by
-		// the shards identity leg in CI.
+		// Declined when the engine is planned: the I/O attach below shares
+		// the engine with the filesystem, so the run and its timeline
+		// recorder stay serial — output-transparent, asserted by the shards
+		// identity leg in CI.
 		sys.EnableParallel(o.Shards)
 	}
 	edge := globalEdge / icbrt(tasks)

@@ -57,9 +57,10 @@ func TestDisableTrafficSetsBypass(t *testing.T) {
 	}
 }
 
-func TestAttachRevokesParallelAndHybrid(t *testing.T) {
-	// An already-admitted sharded scheduler must be revoked when the I/O
-	// subsystem attaches: MDS/OSS/OST resources are engine-global.
+func TestAttachDeclinesParallelAndHybrid(t *testing.T) {
+	// A request admitted before the I/O subsystem attaches must decline
+	// once it has: MDS/OSS/OST resources are engine-global, and the engine
+	// is planned from the whole configuration.
 	sys := core.NewSystemSIO(machine.XT4(), machine.SN, 8, 4)
 	if !sys.EnableParallel(2) {
 		t.Fatalf("parallel should admit before I/O attach: %s", sys.ParallelReason())

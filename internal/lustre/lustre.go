@@ -101,9 +101,9 @@ type FS struct {
 	tel *telemetry.IOStats
 
 	// tl is the timeline flight recorder's collector, nil until
-	// EnableTimeline. I/O attachment forces the serial engine
-	// (core.System.AttachIO revokes parallel/hybrid), so one serial
-	// collector covers every OST sample.
+	// EnableTimeline. A system with I/O attached plans the serial engine
+	// (core.System.AttachIO), so one serial collector covers every OST
+	// sample.
 	tl *timeline.Collector
 
 	nextFileID int

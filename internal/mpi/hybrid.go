@@ -9,15 +9,16 @@ import (
 	"xtsim/internal/sim"
 )
 
-// Hybrid rank runtime (DESIGN.md §4i): when core.EnableHybrid admitted the
-// run, every rank advances a private clock (core.HybClock) instead of a
-// goroutine-per-rank DES process. Sends are priced by the fabric's
-// HybridSession (exact ledger replay or the uncontended closed form),
-// receives match against a per-rank pending list, and collectives meet at
-// a shared barrier object that mirrors the DES analytic meet arithmetic.
-// Ranks still get one goroutine each, but they free-run in parallel across
-// OS threads with no event heap, no engine serialisation, and no simulated
-// context switches — which is where the wall-clock win comes from.
+// Hybrid rank runtime (DESIGN.md §4i): when the system's engine plan
+// admitted the run to the hybrid fast path, every rank advances a private
+// clock (core.HybClock) instead of a goroutine-per-rank DES process. Sends
+// are priced by the fabric's HybridSession (exact ledger replay or the
+// uncontended closed form), receives match against a per-rank pending
+// list, and collectives meet at a shared barrier object that mirrors the
+// DES analytic meet arithmetic. Ranks still get one goroutine each, but
+// they free-run in parallel across OS threads with no event heap, no
+// engine serialisation, and no simulated context switches — which is where
+// the wall-clock win comes from.
 //
 // The exact tier aborts the whole run the moment anything unpriceable
 // appears (a link shared by two ranks' routes): hybAbort unwinds every
@@ -293,16 +294,11 @@ func (p *P) hybSplit(color, key int) *P {
 }
 
 // tryHybrid attempts a whole run on the hybrid fast path. ok=false means
-// the DES must run instead — admission declined at the fabric, or the exact
-// ledger aborted mid-run; either way the fabric is untouched (the session
-// ledger is private and counters commit only on success), so the DES re-run
-// starts pristine.
+// the exact ledger aborted mid-run and the DES must run instead; the fabric
+// is untouched (the session ledger is private and counters commit only on
+// success), so the DES re-run starts pristine.
 func tryHybrid(sys *core.System, mode CollectiveMode, body func(p *P)) (sim.Time, bool) {
-	sess, reason := sys.Fabric.BeginHybrid(sys.HybridTier() == core.HybridExact)
-	if sess == nil {
-		sys.DisableHybrid(reason)
-		return 0, false
-	}
+	sess := sys.Fabric.BeginHybrid(sys.HybridTier() == core.HybridExact)
 	w := NewWorld(sys)
 	w.CollMode = mode
 	run := &hybRun{w: w, sess: sess, abort: make(chan struct{})}
@@ -335,7 +331,7 @@ func tryHybrid(sys *core.System, mode CollectiveMode, body func(p *P)) (sim.Time
 	wg.Wait()
 
 	if aborted, why := run.failed(); aborted {
-		sys.DisableHybrid(why)
+		sys.AbortHybrid(why)
 		return 0, false
 	}
 

@@ -137,12 +137,14 @@ type World struct {
 	tl *timeline.Recorder
 }
 
-// NewWorld creates the runtime for sys. If telemetry is enabled on the
-// system (core.System.EnableTelemetry), the world attaches its MPI
-// collector to the system's telemetry set; if critical-path recording is
-// enabled (core.System.EnableCritPath), the world records blocked
-// segments into the system's recorder and labels them with OpClass names.
+// NewWorld creates the runtime for sys, planning its engine if no earlier
+// call did (core.System.Plan). If telemetry is enabled on the system
+// (core.System.EnableTelemetry), the world attaches its MPI collector to
+// the system's telemetry set; if critical-path recording is enabled
+// (core.System.EnableCritPath), the world records blocked segments into
+// the system's recorder and labels them with OpClass names.
 func NewWorld(sys *core.System) *World {
+	sys.Plan(false)
 	w := &World{sys: sys, pools: make([]wpool, sys.NumDomains())}
 	if sys.Tel != nil {
 		w.tel = telemetry.NewMPIStats(opNames(), 0)
@@ -235,18 +237,14 @@ type P struct {
 // Run spawns body on every task of sys with a world communicator and runs
 // the simulation, returning the makespan in seconds.
 func Run(sys *core.System, mode CollectiveMode, body func(p *P)) sim.Time {
-	// Global-collective fallback (DESIGN.md §4h): analytic collectives
-	// coordinate every rank through one shared meet point, which is
-	// engine-global state the sharded scheduler cannot host. When this run
-	// will use them — Analytic mode, or Auto past the threshold — fall back
-	// to the serial engine before any traffic.
-	if sys.ParallelEnabled() &&
-		(mode == Analytic || (mode == Auto && sys.NumTasks > AnalyticThreshold)) {
-		sys.DisableParallel("analytic collectives coordinate through engine-global shared state")
-	}
-	// Hybrid fast path (DESIGN.md §4i): when admitted, every rank runs on a
-	// private clock with session-priced transfers. On decline or runtime
-	// abort the fabric is untouched, so the DES below starts pristine.
+	// Analytic collectives coordinate every rank through one shared meet
+	// point, engine-global state the sharded scheduler cannot host: when
+	// this run will use them — Analytic mode, or Auto past the threshold —
+	// the engine plan says so (DESIGN.md §4l).
+	sys.Plan(mode == Analytic || (mode == Auto && sys.NumTasks > AnalyticThreshold))
+	// Hybrid fast path (DESIGN.md §4i): when planned, every rank runs on a
+	// private clock with session-priced transfers. An exact-tier abort
+	// leaves the fabric untouched, so the DES below starts pristine.
 	if sys.HybridEnabled() {
 		if end, ok := tryHybrid(sys, mode, body); ok {
 			return end
@@ -619,8 +617,8 @@ func (p *P) sync() *syncState {
 		// Shared-state coordination (analytic collectives, Split, the
 		// data-combining paths of AllreduceRing/ReduceScatter) parks ranks
 		// from different slabs on one condition variable — cross-domain
-		// shared state the sharded scheduler cannot host. Run's fallback
-		// gate catches the analytic modes; a workload that reaches this
+		// shared state the sharded scheduler cannot host. The admission
+		// table catches the analytic modes; a workload that reaches this
 		// panic must run serially (leave EnableParallel off).
 		panic("mpi: shared-state collective coordination under the parallel scheduler; run this workload serially")
 	}

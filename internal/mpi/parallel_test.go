@@ -76,7 +76,7 @@ func runHalo(t *testing.T, shards int) haloRun {
 		fabBytes: sys.Fabric.BytesDelivered,
 		foreign:  sys.ParallelForeignHops(),
 		parallel: sys.ParallelEnabled(),
-		domains:  sys.ParallelDomains(),
+		domains:  sys.NumDomains(),
 	}
 }
 

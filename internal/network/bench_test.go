@@ -41,10 +41,7 @@ func BenchmarkFabricDeliver(b *testing.B) {
 // torus, the single-owner halo pattern ext-petascale's exact cells run.
 func BenchmarkHybridPriceExact(b *testing.B) {
 	f := New(sim.NewEngine(), machine.XT4(), 4096)
-	sess, reason := f.BeginHybrid(true)
-	if sess == nil {
-		b.Fatalf("exact session declined: %s", reason)
-	}
+	sess := f.BeginHybrid(true)
 	n := f.Tor.Nodes()
 	msg := Msg{Bytes: 4096, Mode: machine.SN}
 	b.ReportAllocs()

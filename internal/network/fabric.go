@@ -72,7 +72,7 @@ type ledger struct {
 	// tl is the timeline flight recorder's collector, nil until
 	// EnableTimeline — the same nil-gate idiom as tel. Under the sharded
 	// scheduler each domain ledger holds its own collector and the serial
-	// ledger's stays nil (see TimelineShard).
+	// ledger's stays nil (see EnableParallel).
 	tl *timeline.Collector
 
 	// cp is the causal recorder, nil until EnableCritPath — the same
@@ -603,6 +603,9 @@ func (f *Fabric) DegradeLink(l torus.Link, factor float64) {
 	f.derate[f.Tor.LinkID(l)] = factor
 }
 
+// Degraded reports whether any link has ever been derated (DegradeLink).
+func (f *Fabric) Degraded() bool { return f.derate != nil }
+
 // ZeroLatencyEstimate returns the modelled small-message one-way latency in
 // seconds between two nodes hops apart in the given mode, assuming an idle
 // network. It is the closed-form used by the analytic collective model and
@@ -645,8 +648,8 @@ func (f *Fabric) TelemetryEnabled() bool { return f.tel != nil }
 
 // EnableTimeline installs the serial timeline collector (nil-gated, like
 // tel): each subsequent reservation is sampled into its fixed-width bins.
-// Under the sharded scheduler use TimelineShard instead, which hands every
-// domain its own collector.
+// Sharded delivery replaces it with one collector per domain
+// (EnableParallel).
 func (f *Fabric) EnableTimeline(c *timeline.Collector) { f.tl = c }
 
 // NumLinks reports the number of directed torus links — the Link-class

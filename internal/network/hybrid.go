@@ -35,21 +35,11 @@ type HybridSession struct {
 	msgs, bytes uint64
 }
 
-// BeginHybrid opens a pricing session on the fabric, or declines with a
-// reason (mirroring the EnableParallel admission style). Declines when the
-// sharded delivery is active, on a non-torus fabric, or, for the analytic
-// tier, when links are degraded: per-link derates are fault-injection
-// state the closed form does not model, while the exact tier's route walk
-// applies them as the DES does.
-func (f *Fabric) BeginHybrid(exact bool) (*HybridSession, string) {
-	switch {
-	case f.par != nil:
-		return nil, "sharded delivery owns the fabric"
-	case !exact && f.derate != nil:
-		return nil, "degraded links are outside the analytic closed form"
-	case f.M.Topology != machine.Torus3D:
-		return nil, "fabric is not a torus"
-	}
+// BeginHybrid opens a pricing session on the fabric, exact or analytic.
+// Whether the fabric may be priced that way at all is core.System's
+// admission table's call (a torus, no sharded delivery, and for the
+// analytic tier no degraded links).
+func (f *Fabric) BeginHybrid(exact bool) *HybridSession {
 	s := &HybridSession{f: f, exact: exact, led: ledger{routes: f.routes}}
 	if exact {
 		s.led.links = make([]sim.FIFOResource, f.Tor.NumLinks())
@@ -57,7 +47,7 @@ func (f *Fabric) BeginHybrid(exact bool) (*HybridSession, string) {
 		s.led.linkOwner = make([]int32, f.Tor.NumLinks())
 		s.led.txOwner = make([]int32, f.Tor.Nodes())
 	}
-	return s, ""
+	return s
 }
 
 // hybridViolationReason is the one fallback reason an exact session ever

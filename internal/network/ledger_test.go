@@ -57,15 +57,8 @@ func TestOneWalkIdenticalAcrossEngines(t *testing.T) {
 	if part.NumDomains() != 2 {
 		t.Fatalf("partition of %v has %d domains, want 2", sharded.Tor, part.NumDomains())
 	}
-	sharded.EnableParallel(sim.NewSharded(2, Lookahead(m)), part)
-
-	if s, _ := hybFab.BeginHybrid(false); s != nil {
-		t.Fatal("analytic session admitted a degraded link its closed form ignores")
-	}
-	sess, reason := hybFab.BeginHybrid(true)
-	if sess == nil {
-		t.Fatalf("exact hybrid session declined: %s", reason)
-	}
+	sharded.EnableParallel(sim.NewSharded(2, Lookahead(m)), part, nil)
+	sess := hybFab.BeginHybrid(true)
 
 	for i, msg := range script {
 		at := departAt(i)
@@ -112,7 +105,7 @@ func TestDomainLedgerPricesForeignHopsAtWireTime(t *testing.T) {
 	serial := New(sim.NewEngine(), m, nodes)
 	sharded := New(sim.NewEngine(), m, nodes)
 	part := torus.NewPartition(sharded.Tor, 2)
-	sharded.EnableParallel(sim.NewSharded(2, Lookahead(m)), part)
+	sharded.EnableParallel(sim.NewSharded(2, Lookahead(m)), part, nil)
 
 	// A two-hop +Z route whose second link leaves the sending slab.
 	tor := serial.Tor
@@ -161,7 +154,7 @@ func TestExactLedgerViolationLeavesFabricPristine(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := New(sim.NewEngine(), m, 64)
-			sess, _ := f.BeginHybrid(true)
+			sess := f.BeginHybrid(true)
 			if _, ok := sess.Price(0, Msg{SrcNode: a, DstNode: c, Bytes: 64, Mode: machine.SN}, 0); !ok {
 				t.Fatal("first claim on idle ledger refused")
 			}
@@ -199,11 +192,11 @@ func TestVNDeliveryNeedsSerialLedger(t *testing.T) {
 		send func(f *Fabric)
 	}{
 		{"sharded", func(f *Fabric) {
-			f.EnableParallel(sim.NewSharded(2, Lookahead(m)), torus.NewPartition(f.Tor, 2))
+			f.EnableParallel(sim.NewSharded(2, Lookahead(m)), torus.NewPartition(f.Tor, 2), nil)
 			f.Deliver(0, vn, nil)
 		}},
 		{"exact hybrid", func(f *Fabric) {
-			sess, _ := f.BeginHybrid(true)
+			sess := f.BeginHybrid(true)
 			sess.Price(0, vn, 0)
 		}},
 	} {

@@ -66,21 +66,15 @@ type parState struct {
 
 // EnableParallel switches the fabric to sharded delivery. The partition
 // must cover this fabric's torus and match the sharded engine's domain
-// count; telemetry and critical-path recording must be off (their
-// aggregation points are cross-domain shared state — callers fall back to
-// the serial engine instead). Call before any traffic.
-func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition) {
-	if f.M.Topology != machine.Torus3D {
-		panic(fmt.Sprintf("network: parallel fabric requires a torus topology (%s)", f.M.Name))
-	}
-	if part.Topology() != f.Tor {
-		panic(fmt.Sprintf("network: partition is over %v, fabric over %v", part.Topology(), f.Tor))
-	}
-	if sh.NumDomains() != part.NumDomains() {
-		panic(fmt.Sprintf("network: %d scheduler domains vs %d partition slabs", sh.NumDomains(), part.NumDomains()))
-	}
-	if f.tel != nil || f.cp != nil {
-		panic("network: parallel fabric is incompatible with telemetry/critpath recording")
+// count. tl, when non-nil, holds each slab's timeline collector (index =
+// domain) and replaces the serial one. core.System's engine plan is the
+// one caller: its admission table keeps non-torus fabrics, and the
+// telemetry and critical-path recorders that aggregate on the serial
+// ledger, off sharded runs. Call before any traffic.
+func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition, tl []*timeline.Collector) {
+	if part.Topology() != f.Tor || sh.NumDomains() != part.NumDomains() {
+		panic(fmt.Sprintf("network: %d-domain scheduler and partition %v do not shard fabric %v",
+			sh.NumDomains(), part, f.Tor))
 	}
 	p := &parState{part: part, dom: make([]fabricDomain, part.NumDomains())}
 	for i := range p.dom {
@@ -92,39 +86,13 @@ func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition) {
 			part:   &p.part,
 			dom:    i,
 		}
-	}
-	f.par = p
-}
-
-// TimelineShard hands each slab its private timeline collector (index =
-// domain). The serial collector pointer (EnableTimeline) must be nil in
-// parallel mode — per-domain sampling replaces it entirely. Call after
-// EnableParallel and before any traffic.
-func (f *Fabric) TimelineShard(doms []*timeline.Collector) {
-	p := f.par
-	if p == nil {
-		panic("network: TimelineShard before EnableParallel")
-	}
-	if len(doms) != len(p.dom) {
-		panic(fmt.Sprintf("network: %d timeline collectors vs %d fabric domains", len(doms), len(p.dom)))
+		if tl != nil {
+			p.dom[i].tl = tl[i]
+		}
 	}
 	f.tl = nil
-	for i := range p.dom {
-		p.dom[i].tl = doms[i]
-	}
+	f.par = p
 }
-
-// DisableParallel restores serial delivery (counters accumulated so far
-// are folded first). Call only between runs, never mid-simulation.
-func (f *Fabric) DisableParallel() {
-	if f.par != nil {
-		f.FoldParallel()
-		f.par = nil
-	}
-}
-
-// ParallelEnabled reports whether the fabric is in sharded-delivery mode.
-func (f *Fabric) ParallelEnabled() bool { return f.par != nil }
 
 // FoldParallel folds the per-domain delivery counters into the fabric's
 // public MsgsDelivered/BytesDelivered totals. Call once after the sharded

@@ -293,8 +293,9 @@ type EngineStats struct {
 	// WindowBarriers counts conservative time-window barriers crossed by
 	// sharded-scheduler runs.
 	WindowBarriers uint64 `json:"window_barriers"`
-	// Fallbacks tallies parallel/hybrid admission declines and revocations
-	// by reason, sorted for deterministic rendering.
+	// Fallbacks tallies, by reason, the parallel/hybrid requests declined
+	// when a run's engine was planned and the exact hybrid tier's runtime
+	// aborts, sorted for deterministic rendering.
 	Fallbacks []core.FallbackCount `json:"fallbacks,omitempty"`
 }
 

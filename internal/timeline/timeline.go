@@ -245,10 +245,6 @@ func (r *Recorder) Shard(n int) {
 	}
 }
 
-// Unshard folds every domain collector back into a single serial one; the
-// fallback path calls it when the sharded scheduler is revoked mid-setup.
-func (r *Recorder) Unshard() { r.Fold() }
-
 // Span records one phase span for rank on domain dom. Spans beyond the
 // per-rank cap are dropped (counted), and because the cap is per rank the
 // drop set is independent of the domain partition.
