@@ -76,26 +76,27 @@ func (p *P) Scan(op Op, bytes int64, data []float64) []float64 {
 		alpha, invBW := p.netParams()
 		rounds := math.Ceil(math.Log2(float64(n)))
 		p.analytic(func() float64 { return rounds * (alpha + float64(bytes)*invBW) })
-		// Build the prefix via shared state (cost already charged).
-		st := p.sync()
-		if st.shared == nil {
-			st.shared = make([]any, n+1)
-		}
-		st.shared[p.me] = cloneFloats(data)
-		st.arrived++
-		if st.arrived < n {
-			st.cond.Await(p.task.Proc)
-		} else {
-			st.cond.Broadcast()
-		}
+		// The last arrival folds every rank's prefix left to right through
+		// the meet (cost already charged); each rank takes its own.
+		m := p.meet(nil, func(m *meet) { m.put(p.me, n, data) }, func(m *meet) {
+			var prefix []float64
+			for r, d := range m.data {
+				if d == nil {
+					continue
+				}
+				if prefix == nil {
+					prefix = cloneFloats(d)
+				} else {
+					prefix = cloneFloats(prefix)
+					op.combine(prefix, d)
+				}
+				m.data[r] = prefix
+			}
+		})
 		if data == nil {
 			return nil
 		}
-		out := cloneFloats(st.shared[0].([]float64))
-		for r := 1; r <= p.me; r++ {
-			op.combine(out, st.shared[r].([]float64))
-		}
-		return out
+		return m.data[p.me]
 	}
 	// Chain: receive prefix from the left, combine, pass to the right.
 	if p.me > 0 {

@@ -1,8 +1,8 @@
 package mpi
 
 import (
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"xtsim/internal/core"
 	"xtsim/internal/network"
@@ -14,11 +14,11 @@ import (
 // clock (core.HybClock) instead of a goroutine-per-rank DES process. Sends
 // are priced by the fabric's HybridSession (exact ledger replay or the
 // uncontended closed form), receives match against a per-rank pending
-// list, and collectives meet at a shared barrier object that mirrors the
-// DES analytic meet arithmetic. Ranks still get one goroutine each, but
-// they free-run in parallel across OS threads with no event heap, no
-// engine serialisation, and no simulated context switches — which is where
-// the wall-clock win comes from.
+// list, and shared-state collectives run the DES's own meet (mpi.go),
+// parking on a channel instead of a sim.Condition. Ranks still get one
+// goroutine each, but they free-run in parallel across OS threads with no
+// event heap, no engine serialisation, and no simulated context switches —
+// which is where the wall-clock win comes from.
 //
 // The exact tier aborts the whole run the moment anything unpriceable
 // appears (a link shared by two ranks' routes): hybAbort unwinds every
@@ -34,40 +34,20 @@ type hybAbort struct{}
 
 // hybRun is the shared state of one hybrid execution attempt.
 type hybRun struct {
-	w    *World
 	sess *network.HybridSession
 
-	// abort is closed exactly once when any rank hits a condition the fast
-	// path cannot price; reason records why (read after all ranks unwind).
-	abort  chan struct{}
-	once   sync.Once
-	mu     sync.Mutex
-	reason string
+	// abort is closed exactly once, when a rank trips the exact ledger or
+	// panics; every blocking point selects on it, so parked ranks unwind.
+	abort chan struct{}
+	once  sync.Once
 
-	// commMu serialises Split's communicator creation: newComm mutates
-	// world-level slices that the serial DES never touches concurrently.
-	commMu sync.Mutex
+	// panicked is the first rank panic other than hybAbort, re-raised on
+	// Run's caller once every rank has unwound — where the DES raises a
+	// process panic too.
+	panicked atomic.Pointer[any]
 }
 
-func (h *hybRun) fail(reason string) {
-	h.once.Do(func() {
-		h.mu.Lock()
-		h.reason = reason
-		h.mu.Unlock()
-		close(h.abort)
-	})
-}
-
-func (h *hybRun) failed() (bool, string) {
-	select {
-	case <-h.abort:
-	default:
-		return false, ""
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return true, h.reason
-}
+func (h *hybRun) fail() { h.once.Do(func() { close(h.abort) }) }
 
 // hybTask is one rank's hybrid execution context.
 type hybTask struct {
@@ -154,8 +134,7 @@ func (p *P) hybIsend(dst, tag int, bytes int64, data []float64) *Request {
 	dstTask := p.global(dst)
 	tl, ok := t.run.sess.Price(t.clk.T, p.msg(dstTask, bytes), p.task.ID)
 	if !ok {
-		_, reason := t.run.sess.Violated()
-		t.run.fail(reason)
+		t.run.fail()
 		panic(hybAbort{})
 	}
 	t.sentMsgs++
@@ -173,135 +152,16 @@ func (p *P) hybIsend(dst, tag int, bytes int64, data []float64) *Request {
 	return req
 }
 
-// hybSync is the hybrid analytic meet: the counterpart of syncState, keyed
-// by the same collective sequence number. The max-entry-time holder's cost
-// closure prices the collective — in the DES that closure belongs to the
-// last arriver, which (procs execute in time order) is the max-time rank;
-// on an exact time tie the DES falls back to engine scheduling order where
-// the hybrid deterministically picks the highest rank, so rank-dependent
-// costs can differ on ties (symmetric costs, the norm, cannot).
-type hybSync struct {
-	mu      sync.Mutex
-	arrived int
-	maxAt   sim.Time
-	maxRank int
-	cost    func() float64
-	finish  sim.Time
-	acc     []float64
-	contrib [][]float64
-	shared  []any
-	result  any
-	done    chan struct{}
-}
-
-// hybMeet runs one collective meet: update runs at this rank's arrival
-// (under the meet lock), finish runs once at the last arrival before the
-// finish time is published, and every rank leaves with its clock at the
-// meet's finish time.
-func (p *P) hybMeet(cost func() float64, update, finish func(st *hybSync)) *hybSync {
-	t := p.hyb
-	idx := p.collSeq
-	p.collSeq++
-	c := p.c
-	c.hmu.Lock()
-	for len(c.hsyncs) <= idx {
-		c.hsyncs = append(c.hsyncs, &hybSync{maxRank: -1, done: make(chan struct{})})
-	}
-	st := c.hsyncs[idx]
-	c.hmu.Unlock()
-
-	st.mu.Lock()
-	now := t.clk.T
-	if update != nil {
-		update(st)
-	}
-	if st.maxRank < 0 || now > st.maxAt || (now == st.maxAt && p.me > st.maxRank) {
-		st.maxAt = now
-		st.maxRank = p.me
-		st.cost = cost
-	}
-	st.arrived++
-	if st.arrived == len(c.group) {
-		if finish != nil {
-			finish(st)
-		}
-		f := st.maxAt
-		if st.cost != nil {
-			f += st.cost()
-		}
-		st.finish = f
-		st.mu.Unlock()
-		close(st.done)
-	} else {
-		st.mu.Unlock()
-		select {
-		case <-st.done:
-		case <-t.run.abort:
-			panic(hybAbort{})
-		}
-	}
-	t.clk.T = st.finish
-	return st
-}
-
-// hybSplit is Split on the hybrid path: contributions collect at the meet,
-// the last arriver builds the sub-communicators exactly as the DES does
-// (same sort keys, same ascending-color creation order), and every rank
-// leaves with a hybrid-wired view of its new communicator.
-func (p *P) hybSplit(color, key int) *P {
-	type entry struct{ color, key, rank int }
-	st := p.hybMeet(nil, func(st *hybSync) {
-		if st.shared == nil {
-			st.shared = make([]any, len(p.c.group))
-		}
-		st.shared[p.me] = entry{color: color, key: key, rank: p.me}
-	}, func(st *hybSync) {
-		all := make([]entry, 0, len(st.shared))
-		for _, v := range st.shared {
-			all = append(all, v.(entry))
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].color != all[j].color {
-				return all[i].color < all[j].color
-			}
-			if all[i].key != all[j].key {
-				return all[i].key < all[j].key
-			}
-			return all[i].rank < all[j].rank
-		})
-		groups := make(map[int][]int)
-		var colors []int
-		for _, e := range all {
-			if _, seen := groups[e.color]; !seen {
-				colors = append(colors, e.color)
-			}
-			groups[e.color] = append(groups[e.color], p.c.group[e.rank])
-		}
-		sort.Ints(colors)
-		comms := make(map[int]*Comm)
-		run := p.hyb.run
-		run.commMu.Lock()
-		for _, c := range colors {
-			comms[c] = p.c.w.newComm(groups[c])
-		}
-		run.commMu.Unlock()
-		st.result = comms
-	})
-	comms := st.result.(map[int]*Comm)
-	v := comms[color].view(p.task)
-	v.hyb = p.hyb
-	return v
-}
-
 // tryHybrid attempts a whole run on the hybrid fast path. ok=false means
 // the exact ledger aborted mid-run and the DES must run instead; the fabric
 // is untouched (the session ledger is private and counters commit only on
-// success), so the DES re-run starts pristine.
+// success), so the DES re-run starts pristine. A rank's panic aborts the
+// run too, and is re-raised here without a DES re-run.
 func tryHybrid(sys *core.System, mode CollectiveMode, body func(p *P)) (sim.Time, bool) {
 	sess := sys.Fabric.BeginHybrid(sys.HybridTier() == core.HybridExact)
 	w := NewWorld(sys)
 	w.CollMode = mode
-	run := &hybRun{w: w, sess: sess, abort: make(chan struct{})}
+	run := &hybRun{sess: sess, abort: make(chan struct{})}
 	w.hyb = run
 	comm := w.newComm(identity(sys.NumTasks))
 
@@ -314,10 +174,10 @@ func tryHybrid(sys *core.System, mode CollectiveMode, body func(p *P)) (sim.Time
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					if _, ok := r.(hybAbort); ok {
-						return
+					if _, ok := r.(hybAbort); !ok {
+						run.panicked.CompareAndSwap(nil, &r)
+						run.fail()
 					}
-					panic(r)
 				}
 			}()
 			r := sys.HybridRank(id)
@@ -330,7 +190,10 @@ func tryHybrid(sys *core.System, mode CollectiveMode, body func(p *P)) (sim.Time
 	}
 	wg.Wait()
 
-	if aborted, why := run.failed(); aborted {
+	if r := run.panicked.Load(); r != nil {
+		panic(*r)
+	}
+	if violated, why := sess.Violated(); violated {
 		sys.AbortHybrid(why)
 		return 0, false
 	}

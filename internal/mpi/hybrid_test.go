@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,23 +73,34 @@ func TestHybridExactUnconsumedMessage(t *testing.T) {
 }
 
 // TestHybridExactCollectivesMatchDES drives the analytic-collective meet
-// (Barrier/Allreduce/Bcast/Split) on the hybrid path and requires the exact
-// tier to reproduce the DES ends and payloads bit for bit. Distinct
-// per-rank compute times keep every meet's max-entry rank unique, which is
-// the case where the meet arithmetic is provably identical.
+// (Barrier/Allreduce/Bcast/Split/Scan/ReduceScatter) on the hybrid path and
+// requires the exact tier to reproduce the DES ends and payloads bit for
+// bit. Distinct per-rank compute times keep every meet's max-entry rank
+// unique, which is the case where the meet arithmetic is provably
+// identical; the Sum payloads are fractional, so a fold order that
+// differed between the runtimes would show in the last bits.
 func TestHybridExactCollectivesMatchDES(t *testing.T) {
 	n := 24
-	results := func() ([]float64, func(p *P)) {
-		got := make([]float64, n)
+	results := func() ([][]float64, func(p *P)) {
+		got := make([][]float64, n)
 		return got, func(p *P) {
 			p.Task().ComputeSeconds(float64(p.me+1) * 1e-6)
 			p.Barrier()
 			res := p.Allreduce(Max, 8, []float64{float64(p.me)})
 			p.Task().ComputeSeconds(float64(p.me%3) * 1e-7)
 			data := p.Bcast(3, 16, []float64{res[0], -1})
-			sub := p.Split(p.me%2, p.me)
+			// Both halves Dup at once: concurrent communicator creation.
+			sub := p.Split(p.me%2, p.me).Dup()
 			sub.Barrier()
-			got[p.me] = data[0]
+			p.Task().ComputeSeconds(float64(n-p.me) * 1e-7)
+			scan := p.Scan(Sum, 16, []float64{0.1 * float64(p.me+1), 1 / float64(p.me+3)})
+			in := make([]float64, 2*n)
+			for i := range in {
+				in[i] = float64(i+p.me) / 7
+			}
+			p.Task().ComputeSeconds(float64(p.me%5) * 1e-7)
+			rs := p.ReduceScatter(Sum, 16, in)
+			got[p.me] = append([]float64{data[0]}, append(scan, rs...)...)
 		}
 	}
 	desGot, desBody := results()
@@ -105,9 +117,39 @@ func TestHybridExactCollectivesMatchDES(t *testing.T) {
 		t.Fatalf("hybrid end %v != DES end %v", hyb, des)
 	}
 	for r := range desGot {
-		if desGot[r] != hybGot[r] {
-			t.Fatalf("rank %d: hybrid Bcast result %v != DES %v", r, hybGot[r], desGot[r])
+		if len(desGot[r]) != 5 || !slices.Equal(desGot[r], hybGot[r]) {
+			t.Fatalf("rank %d: hybrid Bcast/Scan/ReduceScatter payloads %v != DES %v", r, hybGot[r], desGot[r])
 		}
+	}
+}
+
+// TestHybridRankPanicReachesCaller: a panic on one hybrid rank must unwind
+// the ranks parked elsewhere and surface on Run's caller with the DES's
+// message — not kill the process from a rank goroutine, and not fall back
+// to a DES re-run.
+func TestHybridRankPanicReachesCaller(t *testing.T) {
+	body := func(p *P) {
+		if p.me == 3 {
+			p.Send(99, 0, 8)
+		}
+		p.Barrier()
+	}
+	run := func(sys *core.System) (msg any) {
+		defer func() { msg = recover() }()
+		Run(sys, Auto, body)
+		return nil
+	}
+	const want = "mpi: rank 99 out of range [0,8)"
+	if got := run(newSys(8, machine.SN)); got != want {
+		t.Fatalf("DES panic = %v, want %q", got, want)
+	}
+	sys := newSys(8, machine.SN)
+	sys.EnableHybrid(core.HybridExact)
+	if got := run(sys); got != want {
+		t.Fatalf("hybrid panic = %v, want %q", got, want)
+	}
+	if !sys.HybridEnabled() {
+		t.Fatalf("a rank panic must not abort to the DES (reason %q)", sys.HybridReason())
 	}
 }
 

@@ -15,9 +15,10 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"xtsim/internal/core"
@@ -126,7 +127,8 @@ type World struct {
 	cp *critpath.Recorder
 
 	// hyb is the hybrid fast-path run state, nil for DES worlds (see
-	// hybrid.go); newComm uses it to wire member views for hybrid matching.
+	// hybrid.go); newComm uses it to wire member views for hybrid matching,
+	// and meet to give each collective a channel to park on.
 	hyb *hybRun
 
 	// tl is the system's timeline flight recorder, nil unless
@@ -135,6 +137,10 @@ type World struct {
 	// opEnd, and applications may add their own via PhaseBegin/PhaseEnd —
 	// all under the same nil-gate discipline as tel/cp.
 	tl *timeline.Recorder
+
+	// mu serialises communicator creation: hybrid ranks of different
+	// communicators can Split concurrently.
+	mu sync.Mutex
 }
 
 // NewWorld creates the runtime for sys, planning its engine if no earlier
@@ -166,30 +172,17 @@ type Comm struct {
 	group []int       // global task ids, indexed by local rank
 	index map[int]int // global task id -> local rank; nil for identity groups
 
-	syncs   []*syncState
 	members []*P // local-rank-indexed views, for shared-state coordination
 
-	// Hybrid-path collective meets (hybrid.go): hsyncs replaces syncs on
-	// the hybrid fast path; hmu guards its growth, since rank goroutines
-	// reach new collectives concurrently there.
-	hmu    sync.Mutex
-	hsyncs []*hybSync
+	// meets holds the communicator's shared-state collectives, indexed by
+	// collective sequence number; mu guards it and every meet in it, since
+	// hybrid ranks arrive from concurrent goroutines.
+	mu    sync.Mutex
+	meets []*meet
 
 	// tel is the communicator's telemetry slot, nil when telemetry is off;
 	// cached here so the per-op hot path never does a map lookup.
 	tel *telemetry.CommStats
-}
-
-type syncState struct {
-	arrived int
-	finish  sim.Time
-	acc     []float64
-	shared  []any
-	cond    sim.Condition
-	// edge is the collective's last-arrival happens-before edge, created
-	// by the last arriver when critical-path recording is on (0 otherwise
-	// or when dropped at the recorder cap).
-	edge int32
 }
 
 // P is one task's view of a communicator: the object application code
@@ -300,12 +293,14 @@ func identity(n int) []int {
 }
 
 func (w *World) newComm(group []int) *Comm {
+	w.mu.Lock()
 	w.comms++
 	c := &Comm{w: w, id: w.comms, group: group}
 	w.allComms = append(w.allComms, c)
 	if w.tel != nil {
 		c.tel = w.tel.Comm(c.id, len(group))
 	}
+	w.mu.Unlock()
 	// The world communicator's group is the identity permutation, so the
 	// reverse map would just repeat the index; leaving it nil saves tens of
 	// bytes per rank at paper scale (view falls back to rank == id).
@@ -602,68 +597,130 @@ func (p *P) waitOne(r *Request) {
 	}
 }
 
-// ---------- collective synchronisation scaffolding ----------
+// ---------- the collective meet ----------
 
-// sync returns the per-callsite state for the p.collSeq-th collective on
-// this communicator. MPI semantics require all ranks to invoke collectives
-// in the same order, which makes the sequence number a safe key.
-func (p *P) sync() *syncState {
-	if p.hyb != nil {
-		// Every caller branches to a hybMeet first; reaching the DES meet
-		// from a hybrid rank would corrupt single-threaded state.
-		panic("mpi: DES sync state reached from the hybrid fast path")
-	}
-	if p.c.w.sys.ParallelEnabled() {
-		// Shared-state coordination (analytic collectives, Split, the
-		// data-combining paths of AllreduceRing/ReduceScatter) parks ranks
-		// from different slabs on one condition variable — cross-domain
-		// shared state the sharded scheduler cannot host. The admission
-		// table catches the analytic modes; a workload that reaches this
-		// panic must run serially (leave EnableParallel off).
-		panic("mpi: shared-state collective coordination under the parallel scheduler; run this workload serially")
-	}
-	idx := p.collSeq
-	p.collSeq++
-	for len(p.c.syncs) <= idx {
-		p.c.syncs = append(p.c.syncs, &syncState{finish: -1})
-	}
-	return p.c.syncs[idx]
+// meet is one shared-state collective on a communicator: every rank
+// arrives, the last arrival settles the shared result, and everyone leaves
+// at the finish. It carries the analytic collectives' closed-form timing
+// and the data that rides on shared state instead of messages (root
+// shares, reductions, Scan prefixes, Split's groups). Both runtimes use
+// the same meet; only how a non-last arriver parks and how its clock
+// reaches the finish depend on the runtime.
+type meet struct {
+	arrived int
+	// maxAt is the latest entry time and maxRank the rank that made it;
+	// that rank's cost closure prices the collective.
+	maxAt   sim.Time
+	maxRank int
+	cost    func() float64
+	finish  sim.Time
+
+	data  [][]float64   // payload contributions by rank, for the last arrival's fold
+	acc   []float64     // the folded payload every rank copies out
+	keys  []splitKey    // Split's contributions, in arrival order
+	comms map[int]*Comm // Split's new communicators by color
+
+	// edge is a priced meet's last-arrival happens-before edge (0 when
+	// critical-path recording is off or the edge was dropped at the cap).
+	edge int32
+
+	cond sim.Condition // DES: non-last arrivers park here
+	done chan struct{} // hybrid path: closed at the last arrival
 }
 
-// analytic performs a collective with a closed-form cost: all ranks meet,
-// the last arriver computes the finish time from the meet time, and
-// everyone resumes at the finish.
-func (p *P) analytic(cost func() float64) {
-	if p.hyb != nil {
-		p.hybMeet(cost, nil, nil)
-		return
+// meet runs the calling rank's arrival at the next shared-state collective
+// on its communicator. MPI semantics require all ranks to invoke
+// collectives in the same order, which makes the per-rank collective
+// sequence number a safe key. arrive runs under the communicator lock as
+// the rank arrives; last runs once, at the last arrival, before the finish
+// is published.
+//
+// The latest entry prices the collective with its cost closure; a nil cost
+// finishes at the latest entry. On an exact time tie the later arrival
+// wins on the DES (procs arrive in time order, so the last arriver holds
+// the latest entry) and the higher rank on the hybrid path, where arrival
+// order is a goroutine race. Every rank leaves with its clock at the
+// finish; a cost-free meet adds no DES event, because the DES ranks resume
+// at the last arrival's time already.
+func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
+	c := p.c
+	if c.w.sys.ParallelEnabled() {
+		// Ranks from different slabs would park on one condition variable —
+		// cross-domain shared state the sharded scheduler cannot host. The
+		// admission table catches the analytic modes; a workload that
+		// reaches this panic (Split, the data-combining paths of
+		// AllreduceRing/ReduceScatter) must run serially.
+		panic("mpi: shared-state collective coordination under the parallel scheduler; run this workload serially")
 	}
-	st := p.sync()
-	st.arrived++
-	cp := p.c.w.cp
-	var entry sim.Time
-	if cp != nil {
-		entry = p.task.Now()
+	now := p.task.Now()
+	c.mu.Lock()
+	for len(c.meets) <= p.collSeq {
+		m := &meet{}
+		if c.w.hyb != nil {
+			m.done = make(chan struct{})
+		}
+		c.meets = append(c.meets, m)
 	}
-	if st.arrived < len(p.c.group) {
-		st.cond.Await(p.task.Proc)
+	m := c.meets[p.collSeq]
+	p.collSeq++
+	if arrive != nil {
+		arrive(m)
+	}
+	if m.arrived == 0 || now > m.maxAt || now == m.maxAt && (p.hyb == nil || p.me > m.maxRank) {
+		m.maxAt, m.maxRank, m.cost = now, p.me, cost
+	}
+	m.arrived++
+	if m.arrived < len(c.group) {
+		c.mu.Unlock()
+		if p.hyb == nil {
+			m.cond.Await(p.task.Proc)
+		} else {
+			select {
+			case <-m.done:
+			case <-p.hyb.run.abort:
+				panic(hybAbort{})
+			}
+		}
 	} else {
-		now := p.task.Now()
-		st.finish = now + cost()
+		if last != nil {
+			last(m)
+		}
+		m.finish = m.maxAt
+		if m.cost != nil {
+			m.finish += m.cost()
+		}
+		c.mu.Unlock()
+		if p.hyb == nil {
+			m.cond.Broadcast()
+		} else {
+			close(m.done)
+		}
+	}
+	if p.hyb != nil {
+		p.hyb.clk.T = m.finish
+	} else if m.cost != nil {
+		p.task.Proc.WaitUntil(m.finish)
+	}
+	return m
+}
+
+// analytic performs a collective with a closed-form cost on the meet.
+func (p *P) analytic(cost func() float64) {
+	cp := p.c.w.cp
+	entry := p.task.Now()
+	m := p.meet(cost, nil, func(m *meet) {
 		if cp != nil {
 			// One shared last-arrival edge: every rank's resume depends on
-			// the last arriver entering the collective at the meet time.
-			id, e := cp.StartEdge(critpath.EdgeCollective, now, 0, 0)
+			// the latest entry into the collective.
+			id, e := cp.StartEdge(critpath.EdgeCollective, m.maxAt, 0, 0)
 			if e != nil {
-				e.SrcRank = int32(p.task.ID)
+				e.SrcRank = int32(p.c.group[m.maxRank])
 			}
-			st.edge = id
+			m.edge = id
 		}
-		st.cond.Broadcast()
-	}
-	p.task.Proc.WaitUntil(st.finish)
+	})
 	if cp != nil {
-		cp.AddWait(p.task.ID, entry, p.task.Now(), int(p.curClass), critpath.KindColl, st.edge)
+		cp.AddWait(p.task.ID, entry, p.task.Now(), int(p.curClass), critpath.KindColl, m.edge)
 	}
 }
 
@@ -800,40 +857,24 @@ func (p *P) Bcast(root int, bytes int64, data []float64) []float64 {
 // call sites translating virtual tree ranks.
 func (p *P) localOf(rank int) int { return rank }
 
-// shareFromRoot distributes root's data through shared simulation state
-// (used by analytic collectives, whose cost is already accounted for).
+// shareFromRoot distributes root's data through the meet (used by analytic
+// collectives, whose cost is already accounted for).
 func (p *P) shareFromRoot(root int, data []float64) []float64 {
-	if p.hyb != nil {
-		st := p.hybMeet(nil, func(st *hybSync) {
-			if p.me == root {
-				st.acc = cloneFloats(data)
-			}
-		}, nil)
+	m := p.meet(nil, func(m *meet) {
 		if p.me == root {
-			return data
+			// Snapshot, not alias: waiters copy m.acc only after they
+			// resume, which can be after root has resumed and mutated its
+			// own buffer. A private snapshot keeps that mutation invisible.
+			m.acc = cloneFloats(data)
 		}
-		return cloneFloats(st.acc)
-	}
-	st := p.sync()
-	st.arrived++
-	if p.me == root {
-		// Snapshot, not alias: waiters copy st.acc only after they are
-		// rescheduled, which can be after root has resumed and mutated its
-		// own buffer. A private snapshot keeps that mutation invisible.
-		st.acc = cloneFloats(data)
-	}
-	if st.arrived < len(p.c.group) {
-		st.cond.Await(p.task.Proc)
-	} else {
-		st.cond.Broadcast()
-	}
+	}, nil)
 	// Every non-root rank gets its own copy: handing the shared slice to
 	// all ranks would alias their results, so mutating one rank's buffer
 	// would silently corrupt every other rank's.
 	if p.me == root {
 		return data
 	}
-	return cloneFloats(st.acc)
+	return cloneFloats(m.acc)
 }
 
 // Reduce combines data from all ranks onto root with op, returning the
@@ -877,53 +918,40 @@ func (p *P) Reduce(root int, op Op, bytes int64, data []float64) []float64 {
 	return acc
 }
 
-// accumulateShared combines every rank's contribution via shared state;
-// cost must already have been charged by the caller.
+// accumulateShared combines every rank's contribution through the meet;
+// cost must already have been charged by the caller. Contributions fold in
+// ascending rank order at the last arrival, so the result does not depend
+// on arrival order (every contributor is still parked, its buffer intact).
 func (p *P) accumulateShared(op Op, data []float64) []float64 {
-	if p.hyb != nil {
-		// Contributions are combined in ascending rank order at the last
-		// arrival — deterministic, where the DES combines in arrival order
-		// (the two can differ in the last ulp for Sum; timing is unaffected
-		// since collective cost never depends on payload values).
-		st := p.hybMeet(nil, func(st *hybSync) {
-			if data != nil {
-				if st.contrib == nil {
-					st.contrib = make([][]float64, len(p.c.group))
-				}
-				st.contrib[p.me] = data
+	m := p.meet(nil, func(m *meet) { m.put(p.me, len(p.c.group), data) }, func(m *meet) {
+		for _, d := range m.data {
+			if d == nil {
+				continue
 			}
-		}, func(st *hybSync) {
-			for _, d := range st.contrib {
-				if d == nil {
-					continue
-				}
-				if st.acc == nil {
-					st.acc = cloneFloats(d)
-				} else {
-					op.combine(st.acc, d)
-				}
+			if m.acc == nil {
+				m.acc = cloneFloats(d)
+			} else {
+				op.combine(m.acc, d)
 			}
-		})
-		return cloneFloats(st.acc)
-	}
-	st := p.sync()
-	if data != nil {
-		if st.acc == nil {
-			st.acc = cloneFloats(data)
-		} else {
-			op.combine(st.acc, data)
 		}
-	}
-	st.arrived++
-	if st.arrived < len(p.c.group) {
-		st.cond.Await(p.task.Proc)
-	} else {
-		st.cond.Broadcast()
-	}
+		m.data = nil
+	})
 	// Every rank copies out — the shared accumulator stays private. The
-	// last arriver must not keep st.acc either: it resumes (and may mutate
+	// last arriver must not keep m.acc either: it resumes (and may mutate
 	// its "own" result) before the woken waiters get to make their copies.
-	return cloneFloats(st.acc)
+	return cloneFloats(m.acc)
+}
+
+// put records rank's payload contribution (of n) for the last arrival's
+// fold; a nil payload contributes nothing.
+func (m *meet) put(rank, n int, d []float64) {
+	if d == nil {
+		return
+	}
+	if m.data == nil {
+		m.data = make([][]float64, n)
+	}
+	m.data[rank] = d
 }
 
 // Allreduce combines data across all ranks with op and returns the result
@@ -1152,54 +1180,34 @@ func (p *P) Scatter(root int, bytesEach int64) {
 // (key, rank), and returns the calling rank's view of its new
 // communicator. Like MPI_Comm_split, it is collective.
 func (p *P) Split(color, key int) *P {
-	if p.hyb != nil {
-		return p.hybSplit(color, key)
-	}
-	type entry struct{ color, key, rank int }
-	st := p.sync()
-	if st.shared == nil {
-		st.shared = make([]any, len(p.c.group)+1)
-	}
-	st.shared[p.me] = entry{color: color, key: key, rank: p.me}
-	st.arrived++
-	if st.arrived < len(p.c.group) {
-		st.cond.Await(p.task.Proc)
-	} else {
-		// Last arriver computes all the subgroups deterministically.
-		var all []entry
-		for _, v := range st.shared[:len(p.c.group)] {
-			all = append(all, v.(entry))
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].color != all[j].color {
-				return all[i].color < all[j].color
-			}
-			if all[i].key != all[j].key {
-				return all[i].key < all[j].key
-			}
-			return all[i].rank < all[j].rank
+	m := p.meet(nil, func(m *meet) {
+		m.keys = append(m.keys, splitKey{color: color, key: key, rank: p.me})
+	}, func(m *meet) {
+		// The last arrival builds every subgroup deterministically: ranks
+		// ordered by (color, key, rank), communicators created in
+		// ascending color.
+		slices.SortFunc(m.keys, func(a, b splitKey) int {
+			return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.rank, b.rank))
 		})
-		comms := make(map[int]*Comm)
-		groups := make(map[int][]int)
-		for _, e := range all {
-			groups[e.color] = append(groups[e.color], p.c.group[e.rank])
+		m.comms = make(map[int]*Comm)
+		var group []int
+		for i, k := range m.keys {
+			group = append(group, p.c.group[k.rank])
+			if i+1 == len(m.keys) || m.keys[i+1].color != k.color {
+				m.comms[k.color] = p.c.w.newComm(group)
+				group = nil
+			}
 		}
-		// Deterministic comm creation order: ascending color.
-		var colors []int
-		for c := range groups {
-			colors = append(colors, c)
-		}
-		sort.Ints(colors)
-		for _, c := range colors {
-			comms[c] = p.c.w.newComm(groups[c])
-		}
-		st.shared[len(p.c.group)] = comms
-		st.cond.Broadcast()
-	}
-	comms := st.shared[len(p.c.group)].(map[int]*Comm)
+		m.keys = nil
+	})
 	// A cheap synchronisation cost: Split is typically done once at setup.
-	return comms[color].view(p.task)
+	v := m.comms[color].view(p.task)
+	v.hyb = p.hyb
+	return v
 }
+
+// splitKey is one rank's Split contribution.
+type splitKey struct{ color, key, rank int }
 
 // Dup returns the calling rank's view of a duplicate communicator with a
 // fresh tag space.
