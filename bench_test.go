@@ -37,46 +37,35 @@ func benchExperimentOpts(b *testing.B, id string, opts expt.Options) {
 	}
 }
 
-func BenchmarkTable1Systems(b *testing.B)         { benchExperiment(b, "table1") }
-func BenchmarkFig1Lustre(b *testing.B)            { benchExperiment(b, "fig1") }
-func BenchmarkFig2NetworkLatency(b *testing.B)    { benchExperiment(b, "fig2") }
-func BenchmarkFig3NetworkBandwidth(b *testing.B)  { benchExperiment(b, "fig3") }
-func BenchmarkFig4FFT(b *testing.B)               { benchExperiment(b, "fig4") }
-func BenchmarkFig5DGEMM(b *testing.B)             { benchExperiment(b, "fig5") }
-func BenchmarkFig6RandomAccess(b *testing.B)      { benchExperiment(b, "fig6") }
-func BenchmarkFig7Stream(b *testing.B)            { benchExperiment(b, "fig7") }
-func BenchmarkFig8HPL(b *testing.B)               { benchExperiment(b, "fig8") }
-func BenchmarkFig9MPIFFT(b *testing.B)            { benchExperiment(b, "fig9") }
-func BenchmarkFig10PTRANS(b *testing.B)           { benchExperiment(b, "fig10") }
-func BenchmarkFig11MPIRA(b *testing.B)            { benchExperiment(b, "fig11") }
-func BenchmarkFig12BidirSmall(b *testing.B)       { benchExperiment(b, "fig12") }
-func BenchmarkFig13BidirLarge(b *testing.B)       { benchExperiment(b, "fig13") }
-func BenchmarkFig14CAMXT(b *testing.B)            { benchExperiment(b, "fig14") }
-func BenchmarkFig15CAMPlatforms(b *testing.B)     { benchExperiment(b, "fig15") }
-func BenchmarkFig16CAMPhases(b *testing.B)        { benchExperiment(b, "fig16") }
-func BenchmarkFig17POPXT(b *testing.B)            { benchExperiment(b, "fig17") }
-func BenchmarkFig18POPPlatforms(b *testing.B)     { benchExperiment(b, "fig18") }
-func BenchmarkFig19POPPhases(b *testing.B)        { benchExperiment(b, "fig19") }
-func BenchmarkFig20NAMDXT(b *testing.B)           { benchExperiment(b, "fig20") }
-func BenchmarkFig21NAMDModes(b *testing.B)        { benchExperiment(b, "fig21") }
-func BenchmarkFig22S3D(b *testing.B)              { benchExperiment(b, "fig22") }
-func BenchmarkFig23AORSA(b *testing.B)            { benchExperiment(b, "fig23") }
-// Sharded variants (PR 7): the same experiments with -shards 4 — sweep
-// cells fan out over the worker pool and SN nearest-neighbour runs use the
-// sharded discrete-event scheduler. Output is byte-identical to the serial
-// benches above (pinned by internal/expt's equivalence tests); the snapshot
-// delta between the pairs is the wall-clock speedup.
-func BenchmarkFig9MPIFFTShards4(b *testing.B) {
-	benchExperimentOpts(b, "fig9", expt.Options{Short: true, Shards: 4})
-}
-func BenchmarkFig11MPIRAShards4(b *testing.B) {
-	benchExperimentOpts(b, "fig11", expt.Options{Short: true, Shards: 4})
-}
+func BenchmarkTable1Systems(b *testing.B)        { benchExperiment(b, "table1") }
+func BenchmarkFig1Lustre(b *testing.B)           { benchExperiment(b, "fig1") }
+func BenchmarkFig2NetworkLatency(b *testing.B)   { benchExperiment(b, "fig2") }
+func BenchmarkFig3NetworkBandwidth(b *testing.B) { benchExperiment(b, "fig3") }
+func BenchmarkFig4FFT(b *testing.B)              { benchExperiment(b, "fig4") }
+func BenchmarkFig5DGEMM(b *testing.B)            { benchExperiment(b, "fig5") }
+func BenchmarkFig6RandomAccess(b *testing.B)     { benchExperiment(b, "fig6") }
+func BenchmarkFig7Stream(b *testing.B)           { benchExperiment(b, "fig7") }
+func BenchmarkFig8HPL(b *testing.B)              { benchExperiment(b, "fig8") }
+func BenchmarkFig9MPIFFT(b *testing.B)           { benchExperiment(b, "fig9") }
+func BenchmarkFig10PTRANS(b *testing.B)          { benchExperiment(b, "fig10") }
+func BenchmarkFig11MPIRA(b *testing.B)           { benchExperiment(b, "fig11") }
+func BenchmarkFig12BidirSmall(b *testing.B)      { benchExperiment(b, "fig12") }
+func BenchmarkFig13BidirLarge(b *testing.B)      { benchExperiment(b, "fig13") }
+func BenchmarkFig14CAMXT(b *testing.B)           { benchExperiment(b, "fig14") }
+func BenchmarkFig15CAMPlatforms(b *testing.B)    { benchExperiment(b, "fig15") }
+func BenchmarkFig16CAMPhases(b *testing.B)       { benchExperiment(b, "fig16") }
+func BenchmarkFig17POPXT(b *testing.B)           { benchExperiment(b, "fig17") }
+func BenchmarkFig18POPPlatforms(b *testing.B)    { benchExperiment(b, "fig18") }
+func BenchmarkFig19POPPhases(b *testing.B)       { benchExperiment(b, "fig19") }
+func BenchmarkFig20NAMDXT(b *testing.B)          { benchExperiment(b, "fig20") }
+func BenchmarkFig21NAMDModes(b *testing.B)       { benchExperiment(b, "fig21") }
+func BenchmarkFig22S3D(b *testing.B)             { benchExperiment(b, "fig22") }
+func BenchmarkFig23AORSA(b *testing.B)           { benchExperiment(b, "fig23") }
 
-// Timeline pair (PR 10): the MPI-FFT figure with the phase-resolved flight
-// recorder on vs off, interleaved so a BENCH_sim.json snapshot reads as an
-// on/off pair. The rendered table is byte-identical either way (fig9 never
-// exports the recorder); the wall-clock delta is pure sampling overhead.
+// Timeline pair: the MPI-FFT figure with the phase-resolved flight
+// recorder on vs off (`-bench Fig9Timeline` runs both). The rendered
+// table is byte-identical either way (fig9 never exports the recorder);
+// the wall-clock delta is pure sampling overhead.
 func BenchmarkFig9Timeline(b *testing.B) {
 	benchExperimentOpts(b, "fig9", expt.Options{Short: true, Timeline: true})
 }
@@ -84,14 +73,10 @@ func BenchmarkFig9TimelineOff(b *testing.B) {
 	benchExperimentOpts(b, "fig9", expt.Options{Short: true})
 }
 
-// BenchmarkExtParallelS3D regenerates the ext-parallel artifact (serial +
-// 2-domain + 4-domain S3D runs); with shards=4 the three cells themselves
-// run concurrently on the worker pool.
+// BenchmarkExtParallelS3D regenerates the ext-parallel artifact: serial,
+// 2-domain and 4-domain S3D runs, one after another as Execute runs them.
 func BenchmarkExtParallelS3D(b *testing.B) {
 	benchExperiment(b, "ext-parallel")
-}
-func BenchmarkExtParallelS3DShards4(b *testing.B) {
-	benchExperimentOpts(b, "ext-parallel", expt.Options{Short: true, Shards: 4})
 }
 
 // The I/O-subsystem artifacts (DESIGN.md §4j): the IOR striping sweep and
@@ -110,12 +95,11 @@ func BenchmarkExtTimeline(b *testing.B) { benchExperiment(b, "ext-timeline") }
 // run alongside the wall clock: heap-B is the live+uncollected heap
 // (runtime.MemStats.HeapAlloc), sys-B the peak memory obtained from the OS
 // (MemStats.Sys, monotonic). The per-rank heap bound itself is pinned by
-// mpi.TestPaperScaleHeapBudget; the snapshot tracks that the whole
-// experiment stays flat across PRs. The HybridOff pair is the same artifact
-// with the fast-path runs skipped (DES references only) — the snapshot delta
-// between the two is what the hybrid runs cost on top of the references; at
-// full scale that extra is ≈ 4× cheaper than a second DES pass over the same
-// cells.
+// mpi.TestPaperScaleHeapBudget; these metrics watch the whole experiment.
+// The HybridOff pair is the same artifact with the fast-path runs skipped
+// (DES references only) — the delta between the two is what the hybrid
+// runs cost on top of the references; at full scale that extra is ≈ 4×
+// cheaper than a second DES pass over the same cells.
 func BenchmarkExtPetascale(b *testing.B) {
 	benchPetascale(b, expt.Options{Short: true})
 }

@@ -8,6 +8,7 @@
 //	xtsim -run fig8                  regenerate Figure 8
 //	xtsim -run all                   regenerate everything
 //	xtsim -run all -jobs 8           campaign on 8 workers (same output)
+//	xtsim -run ext-petascale -jobs 1 fully serial: one system at a time
 //	xtsim -run all -short -json out/ quick run + one JSON artifact per id
 //	xtsim -run fig17 -timeout 5m     bound each experiment's wall time
 //	xtsim -run congestion -telemetry include the telemetry JSON export
@@ -30,7 +31,7 @@
 // service instead of a one-shot CLI: campaigns are submitted per request,
 // results are memoized in an LRU keyed by (experiment, options, code
 // version), and a bounded admission queue sheds load with 429 when full.
-// -jobs and -timeout keep their meanings (within-campaign worker pool,
+// -jobs and -timeout keep their meanings (within-campaign worker budget,
 // per-experiment wall-clock bound); -cache and -queue size the memo cache
 // and the admission queue. API.md is the endpoint reference.
 package main
@@ -53,12 +54,11 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	run := flag.String("run", "", "experiment id to run (or 'all')")
 	short := flag.Bool("short", false, "reduced-scale quick run")
-	jobs := flag.Int("jobs", runtime.NumCPU(), "experiments to run concurrently (output order is unaffected)")
+	jobs := flag.Int("jobs", runtime.NumCPU(), "worker budget: experiments and their sweep cells running at once (output is unaffected; peak memory grows with it)")
 	jsonDir := flag.String("json", "", "write one JSON artifact per experiment into this directory")
 	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
 	tel := flag.Bool("telemetry", false, "attach the telemetry JSON export to experiments that collect it (e.g. congestion)")
 	cp := flag.Bool("critpath", false, "attach the critical-path JSON exports to experiments that record causal graphs (e.g. critpath)")
-	shards := flag.Int("shards", 0, "parallelism inside experiments: sweep cells on a worker pool and SN nearest-neighbour runs on the sharded scheduler (output is byte-identical to serial)")
 	hybrid := flag.String("hybrid", "", "hybrid rank fast path: 'exact' or 'analytic' to request that tier on supporting experiments, 'off' to force the event-driven engine everywhere, empty for per-experiment defaults (output is byte-identical for 'exact')")
 	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint cadence in steps for checkpoint-aware experiments (ext-ckpt); 0 keeps each experiment's default")
 	tline := flag.Bool("timeline", false, "attach the phase-resolved timeline JSON export to experiments that record it (e.g. ext-timeline)")
@@ -106,7 +106,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := expt.Options{Short: *short, Telemetry: *tel, CritPath: *cp, Shards: *shards, Hybrid: *hybrid, CkptEvery: *ckptEvery, Timeline: *tline}
+	opts := expt.Options{Short: *short, Telemetry: *tel, CritPath: *cp, Hybrid: *hybrid, CkptEvery: *ckptEvery, Timeline: *tline}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "xtsim:", err)
 		flag.Usage()

@@ -22,6 +22,8 @@
 //	 │        └◄── machine, torus, network
 //	 └──► lustre, trace
 //
+// Bottom up, the packages are:
+//
 //   - internal/sim is the deterministic discrete-event engine: processes
 //     as goroutines with explicit handoff, FIFO reservations,
 //     processor-sharing resources.

@@ -1,7 +1,6 @@
 package expt
 
 import (
-
 	"xtsim/internal/apps/aorsa"
 	"xtsim/internal/apps/cam"
 	"xtsim/internal/apps/namd"

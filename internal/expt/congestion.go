@@ -31,14 +31,8 @@ func init() {
 // telemetry-enabled XT4 system and returns the report and makespan. The
 // conservation check runs on every report: if an instrumentation point were
 // missing or double-counting, this experiment is where it would surface.
-func runCongested(o Options, mode machine.Mode, tasks, iters int, bytesEach int64) (*telemetry.Report, sim.Time, error) {
+func runCongested(mode machine.Mode, tasks, iters int, bytesEach int64) (*telemetry.Report, sim.Time, error) {
 	sys := core.NewSystem(machine.XT4(), mode, tasks).EnableTelemetry()
-	if o.Shards > 1 {
-		// Exercises the admission fallback: telemetry aggregates on the
-		// serial engine, so the engine plan always declines this and the run
-		// stays serial — output is byte-identical for any -shards value.
-		sys.EnableParallel(o.Shards)
-	}
 	elapsed := mpi.Run(sys, mpi.Algorithmic, func(p *mpi.P) {
 		for i := 0; i < iters; i++ {
 			p.Alltoall(bytesEach)
@@ -68,7 +62,7 @@ func runCongestion(res *Result, o Options) error {
 	t.Row("mode", "nodes", "time (ms)", "nic_tx util", "vn_proxy util", "link util mean/max", "link wait (s)")
 	var lastRep *telemetry.Report
 	for _, mode := range []machine.Mode{machine.SN, machine.VN} {
-		rep, elapsed, err := runCongested(o, mode, tasks, iters, shareBytes)
+		rep, elapsed, err := runCongested(mode, tasks, iters, shareBytes)
 		if err != nil {
 			return err
 		}
@@ -97,7 +91,7 @@ func runCongestion(res *Result, o Options) error {
 	t2.Row("bytes/pair", "time (ms)", "X util", "Y util", "Z util", "busiest link", "util")
 	var sweepRep *telemetry.Report
 	for _, size := range sizes {
-		rep, elapsed, err := runCongested(o, machine.SN, tasks, iters, size)
+		rep, elapsed, err := runCongested(machine.SN, tasks, iters, size)
 		if err != nil {
 			return err
 		}
@@ -120,9 +114,6 @@ func runCongestion(res *Result, o Options) error {
 	// baseline. An incast (every rank sends to rank 0) concentrates load on
 	// the routes converging at node 0, and the gradient shows up directly.
 	incSys := core.NewSystem(machine.XT4(), machine.SN, tasks).EnableTelemetry()
-	if o.Shards > 1 {
-		incSys.EnableParallel(o.Shards) // declines: telemetry (see runCongested)
-	}
 	incElapsed := mpi.Run(incSys, mpi.Algorithmic, func(p *mpi.P) {
 		for i := 0; i < iters; i++ {
 			if p.Rank() == 0 {

@@ -10,10 +10,11 @@
 // Experiments never write to stdout themselves; rendering is a separate,
 // deterministic step (Result.Render), which is what lets a campaign run
 // concurrently without scrambling its output. A campaign is a slice of
-// experiments handed to a Runner, which executes them on a bounded worker
-// pool (-jobs N in cmd/xtsim), recovers per-experiment panics, enforces an
-// optional per-experiment timeout, and streams rendered results in
-// registration order regardless of completion order.
+// experiments handed to a Runner, which executes them within one worker
+// budget shared with their sweep cells (-jobs N in cmd/xtsim), recovers
+// per-experiment panics, enforces an optional per-experiment timeout, and
+// streams rendered results in registration order regardless of
+// completion order.
 //
 // # Determinism guarantee
 //
@@ -75,15 +76,6 @@ type Options struct {
 	// `xtsim -critpath`. It composes with Telemetry — both exports can
 	// ride on one run. The attribution tables appear either way.
 	CritPath bool `json:"critpath"`
-	// Shards enables parallel execution inside experiments when ≥ 2, set
-	// by `xtsim -shards`. Two layers honour it (DESIGN.md §4h): sweeps of
-	// independent systems evaluate their cells on a worker pool, and
-	// SN-mode nearest-neighbour workloads run on the sharded
-	// discrete-event scheduler. Experiments the admission table declines
-	// (DESIGN.md §4l: telemetry, VN placement, analytic collectives, …)
-	// fall back to serial automatically — rendered output is
-	// byte-identical for any Shards value.
-	Shards int `json:"shards"`
 	// Hybrid selects the hybrid rank fast path (DESIGN.md §4i), set by
 	// `xtsim -hybrid`. "" leaves each experiment's default in place
 	// (ext-petascale engages the fast path per cell, everything else runs
@@ -106,12 +98,9 @@ type Options struct {
 
 // Validate rejects option values outside the documented domain, so the CLI
 // and the campaign server fail a bad request up front instead of running a
-// misconfigured campaign (a negative shard count silently meant "serial",
-// and a mistyped hybrid tier silently meant "default").
+// misconfigured campaign (a mistyped hybrid tier silently meant
+// "default").
 func (o Options) Validate() error {
-	if o.Shards < 0 {
-		return fmt.Errorf("expt: shards must be >= 0 (got %d)", o.Shards)
-	}
 	switch o.Hybrid {
 	case "", "off", "exact", "analytic":
 	default:
@@ -137,9 +126,16 @@ type Experiment struct {
 
 // Execute runs the experiment and returns its structured result. On error
 // the partially-built result is returned alongside the error (its blocks
-// are whatever the experiment produced before failing).
+// are whatever the experiment produced before failing). Outside a Runner
+// there is no worker budget to borrow, so sweep cells run one at a time.
 func (e Experiment) Execute(opts Options) (*Result, error) {
-	res := &Result{ID: e.ID, Artifact: e.Artifact, Title: e.Title}
+	return e.execute(opts, nil)
+}
+
+// execute runs the experiment with runCells borrowing idle slots from
+// budget, a Runner's worker budget (nil: none).
+func (e Experiment) execute(opts Options, budget chan struct{}) (*Result, error) {
+	res := &Result{ID: e.ID, Artifact: e.Artifact, Title: e.Title, budget: budget}
 	err := e.Run(res, opts)
 	return res, err
 }

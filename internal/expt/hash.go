@@ -15,8 +15,8 @@ import (
 // a result cache. TestCanonicalCoversAllOptionFields pins the field count
 // so adding a field without updating this function fails the build gate.
 func (o Options) Canonical() string {
-	return fmt.Sprintf("short=%t;telemetry=%t;critpath=%t;shards=%d;hybrid=%s;ckptevery=%d;timeline=%t",
-		o.Short, o.Telemetry, o.CritPath, o.Shards, o.Hybrid, o.CkptEvery, o.Timeline)
+	return fmt.Sprintf("short=%t;telemetry=%t;critpath=%t;hybrid=%s;ckptevery=%d;timeline=%t",
+		o.Short, o.Telemetry, o.CritPath, o.Hybrid, o.CkptEvery, o.Timeline)
 }
 
 // CacheKey returns a stable hex digest identifying one deterministic

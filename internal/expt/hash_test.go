@@ -8,14 +8,15 @@ import (
 
 // TestCanonicalCoversAllOptionFields pins the Options field count: anyone
 // adding a field must extend Canonical (and this count), or two
-// differently-configured runs would share a cache key.
+// differently-configured runs would share a cache key. The worker budget
+// is deliberately not an option: it never changes a result.
 func TestCanonicalCoversAllOptionFields(t *testing.T) {
-	const covered = 7 // short, telemetry, critpath, shards, hybrid, ckptevery, timeline
+	const covered = 6 // short, telemetry, critpath, hybrid, ckptevery, timeline
 	if n := reflect.TypeOf(Options{}).NumField(); n != covered {
 		t.Fatalf("Options has %d fields but Canonical renders %d; update Options.Canonical and CacheKey docs, then this count", n, covered)
 	}
-	c := Options{Short: true, Telemetry: true, CritPath: true, Shards: 4, Hybrid: "exact", CkptEvery: 3, Timeline: true}.Canonical()
-	for _, want := range []string{"short=true", "telemetry=true", "critpath=true", "shards=4", "hybrid=exact", "ckptevery=3", "timeline=true"} {
+	c := Options{Short: true, Telemetry: true, CritPath: true, Hybrid: "exact", CkptEvery: 3, Timeline: true}.Canonical()
+	for _, want := range []string{"short=true", "telemetry=true", "critpath=true", "hybrid=exact", "ckptevery=3", "timeline=true"} {
 		if !strings.Contains(c, want) {
 			t.Errorf("Canonical() = %q missing %q", c, want)
 		}
@@ -28,7 +29,7 @@ func TestCanonicalCoversAllOptionFields(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	for _, o := range []Options{
 		{},
-		{Short: true, Telemetry: true, CritPath: true, Shards: 8},
+		{Short: true, Telemetry: true, CritPath: true},
 		{Hybrid: "off"},
 		{Hybrid: "exact"},
 		{Hybrid: "analytic"},
@@ -39,7 +40,6 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}
 	for _, o := range []Options{
-		{Shards: -1},
 		{Hybrid: "Exact"},
 		{Hybrid: "on"},
 		{Hybrid: "des"},
@@ -64,7 +64,6 @@ func TestCacheKeyStableAndSensitive(t *testing.T) {
 		"short":     CacheKey("fig8", Options{}, "v1"),
 		"telemetry": CacheKey("fig8", Options{Short: true, Telemetry: true}, "v1"),
 		"critpath":  CacheKey("fig8", Options{Short: true, CritPath: true}, "v1"),
-		"shards":    CacheKey("fig8", Options{Short: true, Shards: 4}, "v1"),
 		"hybrid":    CacheKey("fig8", Options{Short: true, Hybrid: "exact"}, "v1"),
 		"ckptevery": CacheKey("fig8", Options{Short: true, CkptEvery: 3}, "v1"),
 		"timeline":  CacheKey("fig8", Options{Short: true, Timeline: true}, "v1"),

@@ -61,7 +61,7 @@ func runExtIO(res *Result, o Options) error {
 		err error
 	}
 	cells := make([]cell, len(transfers)*len(stripeCounts))
-	runCells(o, len(cells), func(i int) {
+	runCells(res, len(cells), func(i int) {
 		transfer := transfers[i/len(stripeCounts)]
 		stripes := stripeCounts[i%len(stripeCounts)]
 		sys := core.NewSystemSIO(machine.XT4(), machine.SN, tasks, cfg.OSSCount)
@@ -171,19 +171,13 @@ func runExtCkpt(res *Result, o Options) error {
 		err    error
 	}
 	cells := make([]cell, len(taskCounts)*len(variants))
-	runCells(o, len(cells), func(i int) {
+	runCells(res, len(cells), func(i int) {
 		tasks := taskCounts[i/len(variants)]
 		v := variants[i%len(variants)]
 		sys := core.NewSystemSIO(machine.XT4(), machine.SN, tasks, sio)
 		sys.EnableTelemetry()
 		if o.CritPath {
 			sys.EnableCritPath()
-		}
-		if o.Shards > 1 {
-			// Declined when the engine is planned (telemetry and the I/O
-			// attach are both admission rows) — output-transparent,
-			// asserted by the shards identity test.
-			sys.EnableParallel(o.Shards)
 		}
 		edge := globalEdge / icbrt(tasks)
 		b := s3d.Benchmark{

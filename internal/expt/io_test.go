@@ -52,10 +52,10 @@ func TestExtCkptHonorsCadenceOption(t *testing.T) {
 	}
 }
 
-// TestExtCkptShardsFallbackReason documents why ext-ckpt's cells stay on
-// the serial engine under -shards: telemetry declines the request, and
-// even without telemetry the I/O attach declines it, whichever call came
-// first. The rendered-output identity across shard counts rides on this.
+// TestExtCkptShardsFallbackReason pins the admission rows that keep
+// ext-ckpt's systems on the serial engine if the sharded scheduler is
+// requested: telemetry declines the request, and even without telemetry
+// the I/O attach declines it, whichever call came first.
 func TestExtCkptShardsFallbackReason(t *testing.T) {
 	sys := core.NewSystemSIO(machine.XT4(), machine.SN, 8, 4)
 	sys.EnableTelemetry()

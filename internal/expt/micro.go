@@ -120,7 +120,6 @@ func runTable1(res *Result, _ Options) error {
 	return nil
 }
 
-
 func runFig1(res *Result, _ Options) error {
 	cfg := lustre.DefaultConfig()
 	res.Textf("Lustre deployment: 1 MDS, %d OSS x %d OST (%d OSTs total)\n",
@@ -214,12 +213,13 @@ func globalScales(o Options) []int {
 
 func runGlobal(res *Result, o Options, metric string, bench func(*core.System) hpcc.GlobalResult) error {
 	// Every (machine, mode, scale) cell is an independent system, so the
-	// sweep is evaluated through runCells: serial by default, on a worker
-	// pool under -shards — with results assembled by index either way, the
-	// rendered table is byte-identical for any shard count. The system is
-	// built here (not inside the kernel) so -hybrid reaches these sweeps;
-	// output stays byte-identical for any Hybrid value because the exact
-	// tier either reproduces the DES bit for bit or aborts back to it.
+	// sweep is evaluated through runCells, on whatever slots of the
+	// campaign's worker budget are idle; results are assembled by index,
+	// so the rendered table is byte-identical for any -jobs value. The
+	// system is built here (not inside the kernel) so -hybrid reaches
+	// these sweeps; output stays byte-identical for any Hybrid value
+	// because the exact tier either reproduces the DES bit for bit or
+	// aborts back to it.
 	scales := globalScales(o)
 	type cellCfg struct {
 		m    machine.Machine
@@ -234,7 +234,7 @@ func runGlobal(res *Result, o Options, metric string, bench func(*core.System) h
 			cellCfg{machine.XT4(), machine.VN, 2 * sockets})
 	}
 	results := make([]hpcc.GlobalResult, len(cells))
-	runCells(o, len(cells), func(i int) {
+	runCells(res, len(cells), func(i int) {
 		sys := core.NewSystem(cells[i].m, cells[i].mode, cells[i].n)
 		applyHybrid(sys, o)
 		if o.Timeline {

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"xtsim/internal/apps/s3d"
 	"xtsim/internal/core"
@@ -11,52 +12,63 @@ import (
 // Campaign-cell parallelism (DESIGN.md §4h): many experiments are sweeps
 // of mutually independent systems — every cell builds its own core.System,
 // so cells share no mutable state (the property the concurrent Runner
-// already relies on). When Options.Shards ≥ 2, runCells evaluates them on
-// a bounded worker pool and assembles results by index, which keeps the
-// rendered output byte-identical to the serial sweep for any worker count.
+// already relies on). runCells evaluates them within the campaign's
+// worker budget and assembles results by index, which keeps the rendered
+// output byte-identical to the serial sweep for any budget.
 
-// runCells invokes run(0..n-1), concurrently on min(o.Shards, n) workers
-// when o.Shards ≥ 2 and serially otherwise. run must write its result into
-// caller-owned, index-disjoint storage. A panic in any cell is re-raised
-// on the calling goroutine after all workers drain.
-func runCells(o Options, n int, run func(int)) {
-	workers := o.Shards
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicOnce.Do(func() { panicked = r })
+// runCells invokes run(0..n-1) on the calling goroutine plus one helper
+// per idle slot of res's worker budget it can take without blocking (none
+// outside a Runner). A helper returns its slot when the cells run out.
+// run must write its result into caller-owned, index-disjoint storage. A
+// panic in a cell is re-raised on the calling goroutine once every cell
+// has finished; of several, the lowest-indexed one wins, as in a serial
+// sweep.
+func runCells(res *Result, n int, run func(int)) {
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		first    = n
+		panicked any
+		wg       sync.WaitGroup
+	)
+	cells := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						mu.Lock()
+						if i < first {
+							first, panicked = i, p
 						}
-					}()
-					run(i)
+						mu.Unlock()
+					}
 				}()
-			}
+				run(i)
+			}()
+		}
+	}
+	for h := 1; h < n && takeIdle(res.budget); h++ {
+		wg.Add(1)
+		go func() {
+			defer func() { <-res.budget; wg.Done() }()
+			cells()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	cells()
 	wg.Wait()
-	if panicked != nil {
+	if first < n {
 		panic(panicked)
+	}
+}
+
+// takeIdle occupies an idle slot of budget without blocking and reports
+// whether there was one; a nil budget has none.
+func takeIdle(budget chan struct{}) bool {
+	select {
+	case budget <- struct{}{}:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -67,7 +79,7 @@ func runCells(o Options, n int, run func(int)) {
 // equivalence class (zero foreign hops) and the table can assert exact
 // agreement between the serial engine and 2- and 4-domain sharded runs.
 // Wall-clock speedup is deliberately absent from the table (it is the one
-// nondeterministic output; scripts/bench.sh measures it).
+// nondeterministic output; xtbench's halo workload measures it).
 
 func init() {
 	register(Experiment{
@@ -94,7 +106,7 @@ func runExtParallel(res *Result, o Options) error {
 		reason  string
 	}
 	cells := []cell{{shards: 0}, {shards: 2}, {shards: 4}}
-	runCells(o, len(cells), func(i int) {
+	runCells(res, len(cells), func(i int) {
 		c := &cells[i]
 		sys := core.NewSystem(machine.XT4(), machine.SN, tasks)
 		if c.shards > 0 {

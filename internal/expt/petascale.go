@@ -79,7 +79,7 @@ func runExtPetascale(res *Result, o Options) error {
 		reason   string
 	}
 	outs := make([]outcome, len(cells))
-	runCells(o, len(cells), func(i int) {
+	runCells(res, len(cells), func(i int) {
 		c := cells[i]
 		out := &outs[i]
 		b := s3d.Weak50()

@@ -49,6 +49,10 @@ type Result struct {
 	// flags; they render after the blocks and are embedded verbatim in
 	// JSON artifacts.
 	Attachments []Attachment `json:"attachments,omitempty"`
+
+	// budget is the Runner's worker budget while the experiment runs
+	// under one (see runCells), nil otherwise.
+	budget chan struct{}
 }
 
 // Attachment is one machine-readable export attached to a result under

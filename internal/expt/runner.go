@@ -48,7 +48,7 @@ func (s Status) Artifact(opts Options) Artifact {
 	return a
 }
 
-// Runner executes a campaign of experiments on a bounded worker pool.
+// Runner executes a campaign of experiments within one worker budget.
 //
 // Concurrency never changes what a campaign prints: results stream to
 // Output in input order (a completed experiment waits until all its
@@ -56,16 +56,18 @@ func (s Status) Artifact(opts Options) Artifact {
 // so the Output bytes are identical for any Jobs value. Completion-order
 // timing lines go to Progress, which is inherently unordered.
 type Runner struct {
-	// Jobs is the number of experiments executing concurrently; values
-	// below 1 run sequentially.
+	// Jobs is the campaign's worker budget: experiments and their sweep
+	// cells together never occupy more than Jobs workers. Each running
+	// experiment holds one slot, and runCells lends the idle ones to its
+	// cells. Values below 1 run everything sequentially.
 	Jobs int
 	// Opts is passed to every experiment.
 	Opts Options
 	// Timeout bounds each experiment's wall-clock time; 0 means none.
-	// A timed-out experiment reports an error, but its goroutine cannot
-	// be cancelled mid-simulation and is abandoned to finish in the
-	// background (acceptable for a CLI process; long-lived embedders
-	// should prefer generous timeouts).
+	// A timed-out experiment reports an error and returns its slot, but
+	// its goroutine cannot be cancelled mid-simulation and is abandoned
+	// to finish in the background (acceptable for a CLI process;
+	// long-lived embedders should prefer generous timeouts).
 	Timeout time.Duration
 	// Output, when non-nil, receives each experiment's banner and
 	// rendered blocks in input order as they become available.
@@ -90,13 +92,9 @@ type Runner struct {
 // A failing (or panicking, or timed-out) experiment does not stop the
 // campaign; inspect the statuses — or use Failed — for the outcome.
 func (r *Runner) Run(exps []Experiment) []Status {
-	jobs := r.Jobs
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(exps) {
-		jobs = len(exps)
-	}
+	// budget holds one element per occupied slot: a worker blocks for a
+	// slot before each experiment, and runCells only takes free ones.
+	budget := make(chan struct{}, max(r.Jobs, 1))
 
 	statuses := make([]Status, len(exps))
 	done := make([]chan struct{}, len(exps))
@@ -106,12 +104,14 @@ func (r *Runner) Run(exps []Experiment) []Status {
 
 	work := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
+	for w := 0; w < min(cap(budget), len(exps)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				statuses[i] = r.runOne(exps[i])
+				budget <- struct{}{}
+				statuses[i] = r.runOne(exps[i], budget)
+				<-budget
 				r.complete(i, &statuses[i])
 				close(done[i])
 			}
@@ -146,8 +146,8 @@ func Failed(statuses []Status) []Status {
 }
 
 // runOne executes a single experiment with panic recovery and the
-// configured timeout.
-func (r *Runner) runOne(e Experiment) Status {
+// configured timeout, lending it the campaign's budget.
+func (r *Runner) runOne(e Experiment, budget chan struct{}) Status {
 	st := Status{Experiment: e}
 	type outcome struct {
 		res   *Result
@@ -162,7 +162,7 @@ func (r *Runner) runOne(e Experiment) Status {
 				ch <- outcome{err: fmt.Errorf("panic: %v", p), stack: debug.Stack()}
 			}
 		}()
-		res, err := e.Execute(r.Opts)
+		res, err := e.execute(r.Opts, budget)
 		ch <- outcome{res: res, err: err}
 	}()
 

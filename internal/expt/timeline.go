@@ -7,8 +7,8 @@ package expt
 // dominant-phase annotations, plus the per-iteration per-phase resource
 // breakdown. Arm two re-runs the pure ghost-exchange proxy on the sharded
 // scheduler at fixed domain counts and asserts the folded timeline export
-// is byte-identical to the serial run — the property that lets `-shards N`
-// campaigns keep observability on instead of declining it.
+// is byte-identical to the serial run — the property that lets sharded
+// runs keep observability on instead of declining it.
 
 import (
 	"bytes"
@@ -50,13 +50,6 @@ func runExtTimeline(res *Result, o Options) error {
 
 	sys := core.NewSystemSIO(machine.XT4(), machine.SN, tasks, fsCfg.OSSCount)
 	sys.EnableTimeline()
-	if o.Shards > 1 {
-		// Declined when the engine is planned: the I/O attach below shares
-		// the engine with the filesystem, so the run and its timeline
-		// recorder stay serial — output-transparent, asserted by the shards
-		// identity leg in CI.
-		sys.EnableParallel(o.Shards)
-	}
 	edge := globalEdge / icbrt(tasks)
 	b := s3d.Benchmark{
 		PointsPerEdge: edge,
@@ -144,8 +137,8 @@ func runExtTimeline(res *Result, o Options) error {
 	// the sharded scheduler's byte-identical equivalence class (zero foreign
 	// hops), so the folded per-domain collectors must reproduce the serial
 	// timeline export byte for byte. Domain counts are fixed per cell —
-	// o.Shards only sizes the worker pool — so the rendered table is
-	// byte-identical for any -shards value.
+	// the worker budget only decides how many cells run at once — so the
+	// rendered table is byte-identical for any -jobs value.
 	btasks := 512
 	if o.Short {
 		btasks = 64
@@ -159,7 +152,7 @@ func runExtTimeline(res *Result, o Options) error {
 		reason  string
 	}
 	cells := []cell{{shards: 0}, {shards: 2}, {shards: 4}}
-	runCells(o, len(cells), func(i int) {
+	runCells(res, len(cells), func(i int) {
 		c := &cells[i]
 		sys := core.NewSystem(machine.XT4(), machine.SN, btasks)
 		sys.EnableTimeline()

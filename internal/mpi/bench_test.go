@@ -106,9 +106,9 @@ func BenchmarkMPIHalo(b *testing.B) {
 // BenchmarkMPIPaperScaleHeap builds and runs a full-machine VN world
 // (23,016 ranks, the paper's combined system) through one nearest-neighbour
 // ring round and reports the steady-state live heap per rank — the same
-// accounting as TestPaperScaleHeapBudget, so the BENCH_sim.json snapshot
-// carries the per-rank memory bound (budget: 2048 B/rank) alongside the
-// wall clock of standing up a paper-scale world.
+// accounting as TestPaperScaleHeapBudget, so its heap-B/rank metric sits
+// beside the wall clock of standing up a paper-scale world (the test pins
+// the budget, 2048 B/rank).
 func BenchmarkMPIPaperScaleHeap(b *testing.B) {
 	m := machine.XT4Full()
 	tasks := m.MaxCores() // 23,016

@@ -82,7 +82,6 @@ type OptionsSchema struct {
 	Short     string `json:"short"`
 	Telemetry string `json:"telemetry"`
 	CritPath  string `json:"critpath"`
-	Shards    string `json:"shards"`
 	Hybrid    string `json:"hybrid"`
 	CkptEvery string `json:"ckpt_every"`
 	Timeline  string `json:"timeline"`
@@ -100,7 +99,6 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			Short:     "bool — reduced-scale quick run (drops extreme-scale sweep points, keeps shapes)",
 			Telemetry: "bool — attach the telemetry JSON export to experiments that collect it",
 			CritPath:  "bool — attach the critical-path JSON exports to experiments that record causal graphs",
-			Shards:    "int — parallelism inside experiments (worker-pool sweeps, sharded scheduler); rendered output is byte-identical to serial",
 			Hybrid:    "string — hybrid rank fast path: \"exact\" or \"analytic\" requests that tier, \"off\" forces the event-driven engine, \"\" keeps per-experiment defaults; \"exact\" output is byte-identical to the DES",
 			CkptEvery: "int — checkpoint cadence in steps for checkpoint-aware experiments (ext-ckpt); 0 keeps each experiment's default, negative is rejected",
 			Timeline:  "bool — attach the phase-resolved timeline JSON export to experiments that record it (ext-timeline)",

@@ -51,8 +51,9 @@ type Config struct {
 	// JobWorkers is the number of campaigns executing concurrently.
 	// Default 2.
 	JobWorkers int
-	// ExptJobs is the expt.Runner worker-pool size within each campaign.
-	// Default runtime.NumCPU().
+	// ExptJobs is the expt.Runner worker budget within each campaign:
+	// experiments and their sweep cells running at once. Default
+	// runtime.NumCPU().
 	ExptJobs int
 	// Timeout bounds each experiment's wall-clock time, exactly like
 	// `xtsim -timeout`; 0 means none.

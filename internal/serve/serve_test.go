@@ -386,10 +386,11 @@ func TestRequestValidation(t *testing.T) {
 		!strings.Contains(string(body), "hybrid") {
 		t.Errorf("unknown hybrid mode should be 400: HTTP %d: %s", code, body)
 	}
+	// The worker budget is the server's -jobs, not a campaign option.
 	if code, body, _ := post(t, ts.URL+"/api/v1/campaigns",
-		`{"experiments":["alpha"],"options":{"shards":-2}}`); code != http.StatusBadRequest ||
-		!strings.Contains(string(body), "shards") {
-		t.Errorf("negative shards should be 400: HTTP %d: %s", code, body)
+		`{"experiments":["alpha"],"options":{"shards":4}}`); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), `unknown field \"shards\"`) {
+		t.Errorf("a shards option should be 400 naming the unknown field: HTTP %d: %s", code, body)
 	}
 	if code, body, _ := post(t, ts.URL+"/api/v1/campaigns",
 		`{"experiments":["alpha"],"options":{"ckpt_every":-1}}`); code != http.StatusBadRequest ||

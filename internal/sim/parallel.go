@@ -25,8 +25,9 @@ package sim
 // Determinism: posts are merged at each barrier in (time, key, from-domain,
 // emission-sequence) order before being fed to the target engine, so the
 // target's (time, seq) event order — and therefore the entire run — is a
-// pure function of the simulation's inputs, never of goroutine timing. The
-// run-twice tests at -shards N enforce this.
+// pure function of the simulation's inputs, never of goroutine timing.
+// TestShardedMergeDeterministic and mpi's TestParallelRunTwiceDeterministic
+// enforce this.
 //
 // Windows actually advance in steps of lookahead/2, not lookahead. The
 // half margin makes the window check immune to floating-point rounding: a

@@ -229,9 +229,9 @@ func close6(a, b float64) bool {
 func TestDominantPhases(t *testing.T) {
 	r := NewRecorder(3)
 	r.Dom(0).Sample(Link, 0, 0, 200e-6)
-	r.Span(0, 0, "halo", 0, 0, 80e-6)            // 80 µs halo in bin 0
-	r.Span(0, 1, "compute", 0, 0, 60e-6)         // 60 µs compute in bin 0
-	r.Span(0, 2, "compute", 0, 100e-6, 150e-6)   // bin 1: compute only
+	r.Span(0, 0, "halo", 0, 0, 80e-6)          // 80 µs halo in bin 0
+	r.Span(0, 1, "compute", 0, 0, 60e-6)       // 60 µs compute in bin 0
+	r.Span(0, 2, "compute", 0, 100e-6, 150e-6) // bin 1: compute only
 	rep := r.Report(200e-6)
 	if len(rep.Phases) != 2 {
 		t.Fatalf("phase annotations = %d, want 2 (%+v)", len(rep.Phases), rep.Phases)

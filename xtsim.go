@@ -123,9 +123,10 @@ func RunExperiment(id string, w io.Writer, short bool) error {
 	return res.Render(w)
 }
 
-// ExperimentRunner runs a set of experiments concurrently on a bounded
-// worker pool while keeping rendered output deterministic and ordered —
-// the engine behind `xtsim -run all -jobs N`. See internal/expt.Runner.
+// ExperimentRunner runs a set of experiments, and their sweep cells,
+// concurrently within one worker budget while keeping rendered output
+// deterministic and ordered — the engine behind `xtsim -run all -jobs N`.
+// See internal/expt.Runner.
 type ExperimentRunner = expt.Runner
 
 // ExperimentStatus is one experiment's campaign outcome (structured
