@@ -25,7 +25,7 @@
 // Bottom up, the packages are:
 //
 //   - internal/sim is the deterministic discrete-event engine: processes
-//     as goroutines with explicit handoff, FIFO reservations,
+//     as coroutines (iter.Pull) resumed one at a time, FIFO reservations,
 //     processor-sharing resources.
 //   - internal/machine, internal/torus and internal/network describe the
 //     hardware: Table-1 machine configurations, the SeaStar 3-D torus,

@@ -1,7 +1,7 @@
 package core
 
 // Hybrid rank execution (DESIGN.md §4i): a run admitted to hybrid mode
-// skips goroutine-per-rank discrete-event scheduling entirely — every rank
+// skips coroutine-per-rank discrete-event scheduling entirely — every rank
 // advances a private clock through closed-form pricing of its compute and
 // communication, meeting the other ranks only at matching and collective
 // points. The tier decides how conservative the pricing is:
@@ -27,7 +27,7 @@ package core
 type HybridTier int
 
 const (
-	// HybridOff runs the ordinary goroutine-per-rank DES.
+	// HybridOff runs the ordinary coroutine-per-rank DES.
 	HybridOff HybridTier = iota
 	// HybridExact is the bit-identical ledger-priced fast path (SN only).
 	HybridExact

@@ -15,8 +15,9 @@ import (
 // allocation-free message path — it must report 0 allocs/op.
 //
 // The b.N loop runs inside the simulated ranks: only one simulated process
-// executes at a time (deterministic handoff), so calling ResetTimer from
-// rank 0 between warmup and the measured loop is safe.
+// executes at a time (the engine resumes one coroutine at a time), so
+// calling ResetTimer from rank 0 between warmup and the measured loop is
+// safe.
 
 // BenchmarkMPIPingPong measures one blocking Send/Recv round trip between
 // two ranks in steady state (warm routes, warm mailboxes, warm pools).

@@ -11,7 +11,7 @@ import (
 
 // Hybrid rank runtime (DESIGN.md §4i): when the system's engine plan
 // admitted the run to the hybrid fast path, every rank advances a private
-// clock (core.HybClock) instead of a goroutine-per-rank DES process. Sends
+// clock (core.HybClock) instead of a coroutine-per-rank DES process. Sends
 // are priced by the fabric's HybridSession (exact ledger replay or the
 // uncontended closed form), receives match against a per-rank pending
 // list, and shared-state collectives run the DES's own meet (mpi.go),

@@ -34,8 +34,9 @@ func BenchmarkEngineEvents(b *testing.B) {
 
 // BenchmarkProcSwitch measures one blocking-operation round trip: two
 // processes ping-pong through a pair of mailboxes, so each iteration is two
-// yield/wake cycles (four scheduler handoffs). This is the cost every
-// simulated Recv, resource acquisition, and rendezvous pays.
+// yield/wake cycles (four coroutine switches: each process is resumed and
+// suspends once). This is the cost every simulated Recv, resource
+// acquisition, and rendezvous pays.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	var ping, pong Mailbox[struct{}]
@@ -57,7 +58,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 }
 
 // BenchmarkProcWait measures a pure timer block: one process repeatedly
-// waiting. Each iteration is one timer event plus one scheduler handoff
+// waiting. Each iteration is one timer event plus one coroutine switch
 // pair.
 func BenchmarkProcWait(b *testing.B) {
 	e := NewEngine()
@@ -69,4 +70,20 @@ func BenchmarkProcWait(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// TestProcSwitchAllocFree pins the coroutine switch at zero allocations:
+// resuming and suspending a process must not allocate, however many times
+// it blocks. Spawn's one-off coroutine setup amortizes to 0 allocs/op.
+func TestProcSwitchAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed guard skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	res := testing.Benchmark(BenchmarkProcSwitch)
+	if a := res.AllocsPerOp(); a != 0 {
+		t.Fatalf("process switch round trip allocates %d allocs/op, want 0", a)
+	}
 }

@@ -5,13 +5,13 @@
 // memory subsystems, NICs, torus links, and MPI ranks are all simulated
 // processes or resources living on one simulated clock.
 //
-// Processes are ordinary Go functions run on goroutines, but the engine
-// guarantees that at most one process executes at any instant: a process runs
-// until it blocks on a simulation primitive (Wait, Mailbox.Recv, resource
-// acquisition), at which point control is handed back to the scheduler. This
-// makes simulations fully deterministic — event ordering is defined by
-// (time, sequence number), never by the Go runtime scheduler — which is
-// essential for reproducible performance experiments.
+// Processes are ordinary Go functions run as iter.Pull coroutines, and at
+// most one executes at any instant: a process runs until it blocks on a
+// simulation primitive (Wait, Mailbox.Recv, resource acquisition), at which
+// point it switches straight back to the scheduler. This makes simulations
+// fully deterministic — event ordering is defined by (time, sequence
+// number), never by the Go runtime scheduler — which is essential for
+// reproducible performance experiments.
 //
 // The scheduling hot path is allocation-free in steady state: events are
 // values in a 4-ary min-heap whose backing array doubles as a free list
@@ -40,7 +40,7 @@ const Infinity Time = math.MaxFloat64
 const (
 	evFunc   uint8 = iota // call the wrapped closure (rides in arr)
 	evTimer               // a Wait deadline: unpark proc, transfer control
-	evResume              // a wake: bookkeeping already done, transfer control
+	evResume              // a wake or a spawn: transfer control
 	evArrive              // dispatch arr.Arrive(at): a typed completion callback
 )
 
@@ -170,10 +170,8 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
-	live    int           // processes spawned and not yet finished
-	blocked int           // processes currently blocked on a primitive
-	running bool          // inside Run
-	handoff chan struct{} // signalled by a process when it yields control
+	blocked int  // processes currently blocked on a primitive
+	running bool // inside Run
 	procSeq int
 
 	// parkedHead/parkedTail form an intrusive doubly-linked list of blocked
@@ -191,10 +189,6 @@ type Engine struct {
 	shardIdx int
 	horizon  Time
 
-	// procPanic holds a panic value captured on a process goroutine, to be
-	// re-raised on the scheduler's goroutine by step.
-	procPanic any
-
 	// Stats, exported for tests and for the experiment harness.
 	EventsExecuted uint64
 	ProcsSpawned   int
@@ -202,17 +196,18 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{handoff: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now reports the current simulated time in seconds.
 func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at the absolute simulated time at. Scheduling in
-// the past panics: it always indicates a modelling bug, and silently
-// reordering events would destroy determinism.
+// the past or at NaN panics: it always indicates a modelling bug, and
+// silently reordering events would destroy determinism. Guards read
+// !(at >= now) because NaN fails every comparison.
 func (e *Engine) At(at Time, fn func()) {
-	if at < e.now {
+	if !(at >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %.9g before now %.9g", at, e.now))
 	}
 	e.seq++
@@ -221,8 +216,8 @@ func (e *Engine) At(at Time, fn func()) {
 
 // After schedules fn to run d seconds from the current simulated time.
 func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %.9g", d))
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: invalid delay %.9g", d))
 	}
 	e.At(e.now+d, fn)
 }
@@ -247,7 +242,7 @@ func (f ArriveFunc) Arrive(at Time) { f(at) }
 // At it allocates nothing beyond the event slot: use it with a pooled or
 // long-lived Arriver on per-message paths.
 func (e *Engine) AtArrive(at Time, a Arriver) {
-	if at < e.now {
+	if !(at >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %.9g before now %.9g", at, e.now))
 	}
 	e.seq++
@@ -257,7 +252,7 @@ func (e *Engine) AtArrive(at Time, a Arriver) {
 // schedProc schedules a process-control event (timer or resume) without
 // allocating: the target rides in the event value itself.
 func (e *Engine) schedProc(at Time, kind uint8, p *Proc) {
-	if at < e.now {
+	if !(at >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %.9g before now %.9g", at, e.now))
 	}
 	e.seq++
@@ -352,11 +347,6 @@ func (e *Engine) step() {
 		ev.proc.run()
 	case evArrive:
 		ev.arr.Arrive(ev.at)
-	}
-	if e.procPanic != nil {
-		r := e.procPanic
-		e.procPanic = nil
-		panic(r)
 	}
 }
 

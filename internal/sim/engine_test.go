@@ -195,6 +195,59 @@ func TestDeadlockDetection(t *testing.T) {
 	e.Run()
 }
 
+// TestProcPanicReachesRunCaller checks a panic in a process body on a
+// serial engine surfaces from Run with the original value: the coroutine
+// switch re-raises it in the scheduler, so no capture is needed.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	type boom struct{ at Time }
+	e := NewEngine()
+	e.Spawn("bomb", func(p *Proc) {
+		p.Wait(0.5)
+		panic(boom{p.Now()})
+	})
+	defer func() {
+		if r := recover(); r != (boom{0.5}) {
+			t.Fatalf("recovered %v, want boom{0.5}", r)
+		}
+	}()
+	e.Run()
+}
+
+// TestNaNTimesPanic checks every scheduling entry point refuses a NaN
+// time. NaN fails every comparison, so a guard written as at < now lets it
+// into the heap, where it runs first and sends the clock to NaN.
+func TestNaNTimesPanic(t *testing.T) {
+	nan := math.NaN()
+	fn := func() {}
+	inProc := func(body func(p *Proc)) func() {
+		return func() {
+			e := NewEngine()
+			e.Spawn("p", body)
+			e.Run()
+		}
+	}
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"At", func() { NewEngine().At(nan, fn) }},
+		{"After", func() { NewEngine().After(nan, fn) }},
+		{"AtArrive", func() { NewEngine().AtArrive(nan, ArriveFunc(func(Time) {})) }},
+		{"Wait", inProc(func(p *Proc) { p.Wait(nan) })},
+		{"WaitUntil", inProc(func(p *Proc) { p.WaitUntil(nan) })},
+		{"Post", func() { NewSharded(2, 1e-6).Engine(0).Post(1, nan, 0, ArriveFunc(func(Time) {})) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s(NaN) did not panic", c.name)
+				}
+			}()
+			c.call()
+		})
+	}
+}
+
 func TestSpawnFromProcess(t *testing.T) {
 	e := NewEngine()
 	total := 0

@@ -156,7 +156,7 @@ func (e *Engine) Post(to int, at Time, key uint64, a Arriver) {
 		e.AtArrive(at, a)
 		return
 	}
-	if at < e.horizon {
+	if !(at >= e.horizon) {
 		panic(fmt.Sprintf(
 			"sim: cross-domain post %d→%d at %.9g violates the lookahead rule (window horizon %.9g, lookahead %.9g)",
 			e.shardIdx, to, at, e.horizon, s.lookahead))

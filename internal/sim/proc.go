@@ -2,17 +2,25 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with all other processes under the engine's control. A Proc may only call
-// its blocking methods (Wait, Recv, resource acquisition) from its own
-// goroutine; calling them from another goroutine corrupts the handoff
-// protocol.
+// Proc is a simulated process: an iter.Pull coroutine (see pull) whose
+// execution is interleaved with all other processes under the engine's
+// control. Each switch goes straight between the scheduler's goroutine and
+// the body's, never through the Go scheduler. Two consequences: a blocking
+// method (Wait, Recv, resource acquisition) called from outside the body
+// panics inside iter.Pull, and a body that calls runtime.Goexit (t.FailNow,
+// say) exits the goroutine that resumed it — Run's caller on a serial
+// engine, the domain's worker on a sharded one. Race builds trade control
+// over channels instead (pull_race.go), where neither holds.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	done   bool
+	eng  *Engine
+	id   int
+	name string
+
+	// next resumes the body until it blocks or returns; suspend hands
+	// control back from the body. Both are nil once the body has returned,
+	// so a finished process pins no coroutine state.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
 
 	// parked plus the intrusive list links are the engine's blocked-process
 	// bookkeeping (see Engine.park/unpark): a state flag and two pointer
@@ -27,49 +35,32 @@ type Proc struct {
 // seed the simulation) or from inside any event or process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{eng: e, id: e.procSeq, name: name, resume: make(chan struct{})}
-	e.live++
+	p := &Proc{eng: e, id: e.procSeq, name: name}
 	e.ProcsSpawned++
-	// The process body starts inside an event so that process startup is
-	// ordered with respect to every other event in the simulation.
-	e.After(0, func() {
-		go func() {
-			<-p.resume // wait for the scheduler's explicit go-ahead
-			// A panic in the process body is captured and re-raised on the
-			// scheduler's goroutine (see Engine.step): the scheduler is
-			// blocked on the handoff while the process runs, so without
-			// this the panic would unwind a bare goroutine and kill the
-			// program before Run's caller — or a sharded worker's recover —
-			// could see it.
-			defer func() {
-				if r := recover(); r != nil {
-					e.procPanic = r
-				}
-				p.done = true
-				e.live--
-				e.handoff <- struct{}{}
-			}()
-			fn(p)
-		}()
-		p.run()
+	p.next = pull(func(yield func(struct{}) bool) {
+		p.suspend = yield
+		fn(p)
 	})
+	// The body starts inside an event so that process startup is ordered
+	// with respect to every other event in the simulation.
+	e.schedProc(e.now, evResume, p)
 	return p
 }
 
-// run transfers control to the process and blocks the scheduler until the
-// process yields (by blocking on a primitive) or finishes.
+// run resumes the process and returns when it blocks or finishes. A panic
+// in the body is re-raised here by pull, so it reaches Run's caller
+// (or a sharded worker's recover) with the original value.
 func (p *Proc) run() {
-	p.resume <- struct{}{}
-	<-p.eng.handoff
+	if _, ok := p.next(); !ok {
+		p.next, p.suspend = nil, nil
+	}
 }
 
-// block parks the calling process and hands control to the scheduler; it
-// returns when some event resumes the process. This is the single resume
-// path every blocking primitive funnels through: one handoff pair and no
-// allocation per block.
+// block suspends the calling process and returns when some event resumes
+// it. This is the single resume path every blocking primitive funnels
+// through: one coroutine switch each way and no allocation per block.
 func (p *Proc) block() {
-	p.eng.handoff <- struct{}{}
-	<-p.resume
+	p.suspend(struct{}{})
 }
 
 // yield parks the calling process. The scheduler resumes it when some event
@@ -102,8 +93,8 @@ func (p *Proc) ID() int { return p.id }
 // to the scheduler, so Wait(0) can be used to let same-time events interleave
 // deterministically.
 func (p *Proc) Wait(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: process %q waiting negative duration %.9g", p.name, d))
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: process %q waiting invalid duration %.9g", p.name, d))
 	}
 	p.eng.park(p)
 	p.eng.schedProc(p.eng.now+d, evTimer, p)
@@ -113,7 +104,7 @@ func (p *Proc) Wait(d Time) {
 // WaitUntil blocks the process until the absolute simulated time at, which
 // must not be in the past.
 func (p *Proc) WaitUntil(at Time) {
-	if at < p.eng.now {
+	if !(at >= p.eng.now) {
 		panic(fmt.Sprintf("sim: process %q waiting until %.9g which is before now %.9g", p.name, at, p.eng.now))
 	}
 	p.Wait(at - p.eng.now)
