@@ -6,11 +6,10 @@
 // This root package is the public API: machine presets (XT3, XT4,
 // CombinedXT3XT4, the §6 comparison platforms), system construction
 // (NewSystem), the simulated MPI runtime (RunMPI and the P communicator
-// view), activity tracing (Recorder), the experiment registry
-// (Experiments, RunExperiment) that regenerates each of the paper's
-// tables and figures, and the concurrent campaign runner
-// (ExperimentRunner) behind `xtsim -run all -jobs N`. The implementation
-// lives in internal/ packages.
+// view), the experiment registry (Experiments, RunExperiment) that
+// regenerates each of the paper's tables and figures, and the concurrent
+// campaign runner (ExperimentRunner) behind `xtsim -run all -jobs N`. The
+// implementation lives in internal/ packages.
 //
 // # Architecture
 //
@@ -20,7 +19,7 @@
 //	 │        │        │           ├──► expt ──┬──► cmd/xtsim
 //	 │        │        └──► apps ──┘           └──► serve ──► cmd/xtsim -serve
 //	 │        └◄── machine, torus, network
-//	 └──► lustre, trace
+//	 └──► lustre
 //
 // Bottom up, the packages are:
 //
@@ -40,6 +39,10 @@
 //     using the real host-executable kernels in internal/kernels;
 //     internal/apps holds the application proxies (CAM, POP, NAMD, S3D,
 //     AORSA — Figures 14-23). internal/lustre models the filesystem.
+//   - internal/telemetry, internal/critpath and internal/timeline are the
+//     opt-in observers (System.EnableTelemetry, EnableCritPath,
+//     EnableTimeline). One reservation probe per engine domain
+//     (timeline.Probe) feeds all three from the fabric and the filesystem.
 //   - internal/expt is the campaign layer: one registered Experiment per
 //     table/figure/ablation, each producing a structured Result, plus the
 //     concurrent Runner with deterministic ordered output, a

@@ -2,12 +2,13 @@ package core
 
 // Fast-path admission (DESIGN.md §4l). One ordered table decides which
 // engine runs a system: the serial DES, the sharded scheduler (parallel.go)
-// or a hybrid tier (hybrid.go). EnableParallel and EnableHybrid only record
-// requests; Plan applies the table once, when the first mpi.NewWorld/Run
-// or System.Run fixes the engine, so the choice follows the finished
-// configuration, not call order. The only later transition is the exact
-// tier's runtime abort to the DES (AbortHybrid). Declines and aborts are
-// counted in a process-wide (kind, reason) ledger that `xtsim -serve`
+// or a hybrid tier (hybrid.go). EnableParallel, EnableHybrid and the
+// observers' Enable* calls only record requests; Plan applies the table
+// once, when the first mpi.NewWorld/Run or System.Run fixes the engine, and
+// installs the observer probes, so the choice and the wiring follow the
+// finished configuration, not call order. The only later transition is the
+// exact tier's runtime abort to the DES (AbortHybrid). Declines and aborts
+// are counted in a process-wide (kind, reason) ledger that `xtsim -serve`
 // exports on /metrics, cumulative like sim.TotalEventsExecuted.
 
 import (
@@ -18,6 +19,7 @@ import (
 	"xtsim/internal/machine"
 	"xtsim/internal/network"
 	"xtsim/internal/sim"
+	"xtsim/internal/telemetry"
 	"xtsim/internal/timeline"
 	"xtsim/internal/torus"
 )
@@ -60,12 +62,11 @@ func init() {
 		// produce no per-event records at all.
 		{fastPaths, "telemetry aggregation needs the serial event schedule", func(s *System) bool { return s.Tel != nil }},
 		{fastPaths, "critical-path recording needs the serial event schedule", func(s *System) bool { return s.CP != nil }},
-		{fastPaths, "tracer ordering needs the serial event schedule", func(s *System) bool { return s.Tracer != nil }},
 		// The recorder composes with the sharded scheduler: each domain ledger
 		// samples into its own collector.
 		{hybrid, "timeline recording needs per-event reservation records", func(s *System) bool { return s.Tl != nil }},
 		{fastPaths, "noise RNG is a shared sequential stream", func(s *System) bool { return s.NoiseAmp > 0 }},
-		{fastPaths, "I/O subsystem resources (MDS, OSS/OST) are engine-global shared state", func(s *System) bool { return s.ioAttached }},
+		{fastPaths, "I/O subsystem resources (MDS, OSS/OST) are engine-global shared state", func(s *System) bool { return s.io != nil }},
 		{sharded, "torus has a single plane on the slab axis", func(s *System) bool {
 			return torus.NewPartition(s.Fabric.Tor, s.shards).NumDomains() < 2
 		}},
@@ -104,9 +105,11 @@ func (s *System) vnProxied() bool {
 // first call decides; mpi.Run calls it with globalColl set when its
 // collectives meet at engine-global points, and mpi.NewWorld and Run call
 // it with globalColl false. Each declined request is counted in the
-// fallback ledger. Later calls re-check the planned engine against the
-// table and panic when configuration made after planning (NoiseAmp, Tracer,
-// a degraded link, analytic collectives) now blocks it.
+// fallback ledger. Once the engine is fixed, Plan installs one reservation
+// probe per engine domain (timeline.Probe) into the fabric's ledgers and
+// any attached filesystem. Later calls re-check the planned engine against
+// the table and panic when configuration made after planning (NoiseAmp, a
+// degraded link, analytic collectives) now blocks it.
 func (s *System) Plan(globalColl bool) {
 	s.globalColl = s.globalColl || globalColl
 	if s.planned {
@@ -133,6 +136,44 @@ func (s *System) Plan(globalColl bool) {
 			s.hybTier = HybridTier(e)
 		}
 	}
+	if s.Tl != nil {
+		s.Tl.SetResources(timeline.Link, s.Fabric.NumLinks())
+		s.Tl.SetResources(timeline.NIC, s.Fabric.Tor.Nodes())
+		s.Tl.SetResources(timeline.VNProxy, s.Fabric.Tor.Nodes())
+		if s.io != nil {
+			s.Tl.SetResources(timeline.OST, s.io.OSTs())
+		}
+	}
+	if s.par != nil {
+		return // buildSharded installed the domain probes
+	}
+	p := s.probe(0)
+	s.Fabric.InstallProbe(p)
+	if s.io != nil && p != nil {
+		if s.Tel != nil {
+			p.IO = telemetry.NewIOStats(s.io.OSTs())
+		}
+		s.io.InstallProbe(p)
+	}
+}
+
+// probe builds engine domain dom's reservation probe, or nil while no
+// observer is on. Telemetry and critical-path recording keep a run on the
+// serial engine, so on the sharded one the probes only sample the
+// timeline.
+func (s *System) probe(dom int) *timeline.Probe {
+	if s.Tel == nil && s.CP == nil && s.Tl == nil {
+		return nil
+	}
+	var bins *timeline.Collector
+	if s.Tl != nil {
+		bins = s.Tl.Dom(dom)
+	}
+	p := timeline.NewProbe(bins, s.CP)
+	if s.Tel != nil {
+		p.Count(s.Fabric.NumLinks(), s.Fabric.Tor.Nodes())
+	}
+	return p
 }
 
 // engine reports the planned fast path (0 for the DES).
@@ -144,18 +185,20 @@ func (s *System) engine() engines {
 }
 
 // buildSharded is the one place the sharded engine comes up: the
-// scheduler, the fabric's domain ledgers (each with its own timeline
-// collector when the recorder is on), and the node resources rebound to
-// the slab engines that now own them.
+// scheduler, the fabric's domain ledgers (each with its own probe when the
+// timeline is on), and the node resources rebound to the slab engines that
+// now own them.
 func (s *System) buildSharded() {
 	part := torus.NewPartition(s.Fabric.Tor, s.shards)
 	sh := sim.NewSharded(part.NumDomains(), network.Lookahead(s.M))
-	var tl []*timeline.Collector
+	probes := make([]*timeline.Probe, part.NumDomains())
 	if s.Tl != nil {
-		s.Tl.Shard(part.NumDomains())
-		tl = s.Tl.Collectors()
+		s.Tl.Shard(len(probes))
 	}
-	s.Fabric.EnableParallel(sh, part, tl)
+	for i := range probes {
+		probes[i] = s.probe(i)
+	}
+	s.Fabric.EnableParallel(sh, part, probes)
 	s.par = &parRun{sh: sh, part: part}
 	for i, n := range s.Nodes {
 		// PSResources schedule their own completion events, so they must

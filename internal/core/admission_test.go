@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"xtsim/internal/machine"
-	"xtsim/internal/telemetry"
 )
 
 // mustPanic runs f and returns its panic message, failing the test when f
@@ -24,10 +23,6 @@ func mustPanic(t *testing.T, f func()) (msg string) {
 	return ""
 }
 
-type nopTracer struct{}
-
-func (nopTracer) Record(int, string, float64, float64) {}
-
 func TestLateConfigurationPanics(t *testing.T) {
 	for _, tc := range []struct {
 		call string
@@ -38,7 +33,7 @@ func TestLateConfigurationPanics(t *testing.T) {
 		{"EnableTimeline", func(s *System) { s.EnableTimeline() }},
 		{"EnableParallel", func(s *System) { s.EnableParallel(2) }},
 		{"EnableHybrid", func(s *System) { s.EnableHybrid(HybridExact) }},
-		{"AttachIO", func(s *System) { s.AttachIO(func(float64) *telemetry.IOReport { return nil }) }},
+		{"AttachIO", func(s *System) { s.AttachIO(nil) }},
 	} {
 		t.Run(tc.call, func(t *testing.T) {
 			s := NewSystem(machine.XT4(), machine.SN, 8)
@@ -67,7 +62,6 @@ func TestRunRechecksPlannedEngine(t *testing.T) {
 			set          func(s *System)
 		}{
 			{"NoiseAmp", "noise", func(s *System) { s.NoiseAmp = 0.1 }},
-			{"Tracer", "tracer", func(s *System) { s.Tracer = nopTracer{} }},
 		} {
 			t.Run(req.name+"/"+late.name, func(t *testing.T) {
 				s := NewSystem(machine.XT4(), machine.SN, 64)

@@ -8,7 +8,8 @@ import (
 	"xtsim/internal/core"
 	ckpt "xtsim/internal/io"
 	"xtsim/internal/machine"
-	"xtsim/internal/trace"
+	"xtsim/internal/mpi"
+	"xtsim/internal/timeline"
 )
 
 // orderRun is what one 64-rank S3D run exposes about its engine choice and
@@ -18,7 +19,7 @@ type orderRun struct {
 	parReason, hybReason string
 	step                 float64
 	telemetry, critpath  []byte
-	timeline, trace      []byte
+	timeline             []byte
 }
 
 // runOrdered builds a 64-rank SN XT4 system, applies the configuration
@@ -61,9 +62,6 @@ func runOrdered(t *testing.T, calls ...func(*core.System)) orderRun {
 	if rep := sys.TimelineReport(res.SecondsPerStep); rep != nil {
 		export(&out.timeline, func() error { return rep.WriteJSON(&buf) })
 	}
-	if rec, ok := sys.Tracer.(*trace.Recorder); ok {
-		export(&out.trace, func() error { return rec.WriteChromeTrace(&buf) })
-	}
 	return out
 }
 
@@ -94,7 +92,6 @@ func TestAdmissionOrderIndependent(t *testing.T) {
 			}
 		}},
 		{"NoiseAmp", func(s *core.System) { s.NoiseAmp = 0.05 }},
-		{"Tracer", func(s *core.System) { s.Tracer = &trace.Recorder{} }},
 	}
 	for _, ft := range features {
 		base := runOrdered(t, ft.apply)
@@ -123,7 +120,6 @@ func TestAdmissionOrderIndependent(t *testing.T) {
 						{"telemetry", r.telemetry, base.telemetry},
 						{"critpath", r.critpath, base.critpath},
 						{"timeline", r.timeline, base.timeline},
-						{"trace", r.trace, base.trace},
 					} {
 						if !bytes.Equal(e.got, e.want) {
 							t.Errorf("%s: %s export differs from %s alone (%d vs %d bytes)",
@@ -133,5 +129,72 @@ func TestAdmissionOrderIndependent(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestObserverIOOrderIndependent pins that the observers see an attached
+// filesystem whichever is configured first: an 8-rank system checkpoints
+// 7 MiB, and telemetry's io section and the timeline's OST bins must be
+// present and byte-identical whether the observer is enabled before or
+// after ckpt.Attach.
+func TestObserverIOOrderIndependent(t *testing.T) {
+	// report writes the observer's export and says whether it shows I/O.
+	type report func(*core.System, float64, *bytes.Buffer) (bool, error)
+	type export struct {
+		json  []byte
+		sawIO bool
+	}
+	run := func(t *testing.T, enable func(*core.System), observerFirst bool, report report) export {
+		t.Helper()
+		sys := core.NewSystem(machine.XT4(), machine.SN, 8)
+		if observerFirst {
+			enable(sys)
+		}
+		w, err := ckpt.Attach(sys, ckpt.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !observerFirst {
+			enable(sys)
+		}
+		end := mpi.Run(sys, mpi.Algorithmic, func(p *mpi.P) { w.Checkpoint(p, 7<<20/8) })
+		var buf bytes.Buffer
+		saw, err := report(sys, end, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return export{json: buf.Bytes(), sawIO: saw}
+	}
+	for _, ob := range []struct {
+		name   string
+		enable func(*core.System)
+		report report
+	}{
+		{"EnableTelemetry", func(s *core.System) { s.EnableTelemetry() },
+			func(s *core.System, _ float64, b *bytes.Buffer) (bool, error) {
+				rep := s.TelemetryReport()
+				return rep.IO != nil, rep.WriteJSON(b)
+			}},
+		{"EnableTimeline", func(s *core.System) { s.EnableTimeline() },
+			func(s *core.System, end float64, b *bytes.Buffer) (bool, error) {
+				rep := s.TimelineReport(end)
+				ost := false
+				for _, c := range rep.Classes {
+					ost = ost || c.Class == timeline.ClassName(timeline.OST)
+				}
+				return ost, rep.WriteJSON(b)
+			}},
+	} {
+		t.Run(ob.name+"+ckpt.Attach", func(t *testing.T) {
+			first := run(t, ob.enable, true, ob.report)
+			after := run(t, ob.enable, false, ob.report)
+			if !first.sawIO || !after.sawIO {
+				t.Errorf("I/O missing from the export: observer first %v, attach first %v", first.sawIO, after.sawIO)
+			}
+			if !bytes.Equal(first.json, after.json) {
+				t.Errorf("export depends on call order: observer first %d bytes, attach first %d bytes",
+					len(first.json), len(after.json))
+			}
+		})
 	}
 }

@@ -57,28 +57,22 @@ type System struct {
 	// NoiseAmp optionally adds OS-jitter to compute phases as a uniform
 	// multiplicative perturbation in [0, NoiseAmp]. Catamount was designed
 	// to eliminate jitter (§2), so XT experiments leave this zero; it
-	// exists for the full-Linux counterfactual ablation. Like Tracer, it
-	// constrains the engine, so set it before mpi.NewWorld/Run.
+	// exists for the full-Linux counterfactual ablation. It constrains the
+	// engine, so set it before mpi.NewWorld/Run.
 	NoiseAmp float64
-	// Tracer, when non-nil, receives a span for every compute phase (and,
-	// via the mpi package, every MPI operation), with simulated
-	// timestamps. internal/trace provides a recorder and exporters.
-	Tracer Tracer
-	// Tel is the telemetry collection point, nil until EnableTelemetry.
-	// Layers that come up afterwards (mpi.NewWorld) check it and attach
-	// their collectors; with Tel nil every instrumented hot path pays one
-	// nil check and nothing else.
+	// Tel, CP and Tl are the observers' requests and state, nil until
+	// EnableTelemetry, EnableCritPath and EnableTimeline: the MPI side of
+	// telemetry, the critical-path recorder and the timeline flight
+	// recorder. Plan turns them into one reservation probe per engine
+	// domain (timeline.Probe) for the fabric and any attached filesystem,
+	// and mpi.NewWorld attaches the MPI side; with all three nil every
+	// instrumented hot path pays one nil check and nothing else. Only the
+	// timeline composes with the sharded scheduler: each domain samples
+	// into its own collector and Run folds them deterministically after
+	// the terminal window barrier (DESIGN.md §4k).
 	Tel *telemetry.Set
-	// CP is the critical-path recorder, nil until EnableCritPath. Like
-	// Tel, layers that come up afterwards (mpi.NewWorld) check it and
-	// attach; with CP nil the instrumented hot paths pay one nil check.
-	CP *critpath.Recorder
-	// Tl is the timeline flight recorder, nil until EnableTimeline — the
-	// same nil-gate idiom as Tel/CP. Unlike those, it composes with the
-	// sharded scheduler: each domain samples into its own collector and
-	// Run folds them deterministically after the terminal window barrier
-	// (DESIGN.md §4k).
-	Tl *timeline.Recorder
+	CP  *critpath.Recorder
+	Tl  *timeline.Recorder
 	// Rng drives noise; owned by the experiment for reproducibility.
 	Rng *rand.Rand
 
@@ -97,12 +91,22 @@ type System struct {
 	hybTier    HybridTier
 	hybReason  string
 
-	// ioAttached marks that an I/O subsystem (lustre filesystem, checkpoint
-	// writer) registered itself via AttachIO; its MDS/OSS/OST resources
-	// are engine-global shared state (an admission row). ioReport, when
-	// non-nil, contributes the I/O section of TelemetryReport.
-	ioAttached bool
-	ioReport   func(horizon float64) *telemetry.IOReport
+	// io is the I/O subsystem (a lustre filesystem, under a checkpoint
+	// writer or not) registered via AttachIO, nil when none is; its
+	// MDS/OSS/OST resources are engine-global shared state (an admission
+	// row).
+	io IOSystem
+}
+
+// IOSystem is an I/O subsystem attached to a system (a Lustre filesystem,
+// via lustre.Attach), as the engine plan sees it.
+type IOSystem interface {
+	// OSTs reports the object-storage-target count.
+	OSTs() int
+	// InstallProbe hands the filesystem the serial domain's probe.
+	InstallProbe(p *timeline.Probe)
+	// TelemetryReport supplies the I/O section of System.TelemetryReport.
+	TelemetryReport(horizon float64) *telemetry.IOReport
 }
 
 // NewSystem builds a system for nTasks MPI tasks on machine m in the given
@@ -160,14 +164,14 @@ func NewSystemSIO(m machine.Machine, mode machine.Mode, nTasks, sioNodes int) *S
 	return sys
 }
 
-// EnableTelemetry switches on the observability layer for this system:
-// fabric byte counters now, MPI statistics when a World is created.
-// Idempotent; call before mpi.NewWorld/Run. Returns the system for
-// chaining.
+// EnableTelemetry requests the observability layer for this system: the
+// engine plan installs the fabric's and filesystem's byte counters, and
+// the MPI statistics come up with the World. Idempotent; call before
+// mpi.NewWorld/Run. Returns the system for chaining.
 func (s *System) EnableTelemetry() *System {
 	s.configure("EnableTelemetry")
 	if s.Tel == nil {
-		s.Tel = &telemetry.Set{Fabric: s.Fabric.EnableTelemetry()}
+		s.Tel = &telemetry.Set{}
 	}
 	return s
 }
@@ -185,28 +189,24 @@ func (s *System) TelemetryReport() *telemetry.Report {
 		Fabric:         s.Fabric.TelemetryReport(horizon),
 		MPI:            s.Tel.MPI.Report(),
 	}
-	if s.ioReport != nil {
-		rep.IO = s.ioReport(horizon)
+	if s.io != nil {
+		rep.IO = s.io.TelemetryReport(horizon)
 	}
 	return rep
 }
 
-// EnableTimeline switches on the phase-resolved flight recorder: fabric
-// reservations (links, NICs, VN proxies) are sampled into fixed
-// simulated-time bins, applications may emit phase spans via the MPI
-// layer, and TimelineReport joins the two. Composable with the sharded
-// scheduler (per-domain collectors, folded deterministically after the
-// run) and with telemetry/critpath on the serial engine; the hybrid fast
-// path declines it. Idempotent; call before mpi.NewWorld/Run. Returns the
-// system for chaining.
+// EnableTimeline requests the phase-resolved flight recorder: fabric and
+// OST reservations are sampled into fixed simulated-time bins,
+// applications may emit phase spans via the MPI layer, and TimelineReport
+// joins the two. Composable with the sharded scheduler (per-domain
+// collectors, folded deterministically after the run) and with
+// telemetry/critpath on the serial engine; the hybrid fast path declines
+// it. Idempotent; call before mpi.NewWorld/Run. Returns the system for
+// chaining.
 func (s *System) EnableTimeline() *System {
 	s.configure("EnableTimeline")
 	if s.Tl == nil {
 		s.Tl = timeline.NewRecorder(s.NumTasks)
-		s.Tl.SetResources(timeline.Link, s.Fabric.NumLinks())
-		s.Tl.SetResources(timeline.NIC, s.Fabric.Tor.Nodes())
-		s.Tl.SetResources(timeline.VNProxy, s.Fabric.Tor.Nodes())
-		s.Fabric.EnableTimeline(s.Tl.Dom(0))
 	}
 	return s
 }
@@ -222,17 +222,16 @@ func (s *System) TimelineReport(horizon float64) *timeline.Report {
 	return s.Tl.Report(horizon)
 }
 
-// EnableCritPath switches on causal recording for this system: the fabric
-// records happens-before edges now, the MPI runtime records blocked
-// segments when a World is created. Composable with EnableTelemetry.
-// Idempotent; call before mpi.NewWorld/Run. Returns the system for
-// chaining. The recorder uses critpath.DefaultCap; build a
+// EnableCritPath requests causal recording for this system: the engine
+// plan has the fabric record happens-before edges, and the MPI runtime
+// records blocked segments when a World is created. Composable with
+// EnableTelemetry. Idempotent; call before mpi.NewWorld/Run. Returns the
+// system for chaining. The recorder uses critpath.DefaultCap; build a
 // critpath.NewRecorder and assign CP directly to choose another cap.
 func (s *System) EnableCritPath() *System {
 	s.configure("EnableCritPath")
 	if s.CP == nil {
 		s.CP = critpath.NewRecorder(s.NumTasks, 0)
-		s.Fabric.EnableCritPath(s.CP)
 	}
 	return s
 }
@@ -240,15 +239,11 @@ func (s *System) EnableCritPath() *System {
 // AttachIO registers an I/O subsystem (a Lustre filesystem, typically via
 // lustre.Attach) with the system. The filesystem's MDS FIFO queue and
 // OSS/OST processor-sharing resources are engine-global, so the admission
-// table keeps such a system on the serial DES. report, when non-nil,
-// supplies the I/O section of TelemetryReport. Call before
-// mpi.NewWorld/Run.
-func (s *System) AttachIO(report func(horizon float64) *telemetry.IOReport) {
+// table keeps such a system on the serial DES, and the engine plan installs
+// the serial probe into it. Call before mpi.NewWorld/Run.
+func (s *System) AttachIO(io IOSystem) {
 	s.configure("AttachIO")
-	s.ioAttached = true
-	if report != nil {
-		s.ioReport = report
-	}
+	s.io = io
 }
 
 // CritPathReport walks the recorded causal graph backwards from the
@@ -300,12 +295,6 @@ func (s *System) SetPlacement(perm []int) {
 func (s *System) TaskMemBytes() int64 {
 	nodeMem := s.M.Mem.BytesPerCore * int64(s.M.CoresPerNode)
 	return nodeMem / int64(s.TasksPerNode)
-}
-
-// Tracer receives activity spans from the simulation; implemented by
-// trace.Recorder.
-type Tracer interface {
-	Record(rank int, name string, start, end float64)
 }
 
 // Rank is one MPI task's execution context inside the simulation.
@@ -422,11 +411,6 @@ func (r *Rank) Compute(w Work) {
 		r.hybCompute(w)
 		return
 	}
-	tr := r.sys.Tracer
-	var start sim.Time
-	if tr != nil {
-		start = r.Proc.Now()
-	}
 	ft := w.flopTime(r.sys.M)
 	if r.sys.NoiseAmp > 0 {
 		ft *= 1 + r.sys.NoiseAmp*r.sys.Rng.Float64()
@@ -439,9 +423,6 @@ func (r *Rank) Compute(w Work) {
 	}
 	if w.RandomAccesses > 0 {
 		r.Node().Random.Consume(r.Proc, w.RandomAccesses)
-	}
-	if tr != nil {
-		tr.Record(r.ID, "compute", start, r.Proc.Now())
 	}
 }
 

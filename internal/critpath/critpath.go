@@ -12,14 +12,15 @@
 //
 // Design invariants (DESIGN.md §4f):
 //
-//   - Zero cost when disabled. Instrumented packages hold one nil-gated
-//     *Recorder (exactly like network.Fabric's telemetry pointer); with the
-//     recorder off the hot paths pay a nil check and allocate nothing.
+//   - Zero cost when disabled. The MPI runtime holds one nil-gated
+//     *Recorder, and the fabric reaches it through its one reservation
+//     probe (timeline.Probe); with the recorder off the hot paths pay a
+//     nil check and allocate nothing.
 //   - Exact decomposition. A message edge's component fields (overhead,
 //     injection wait, injection, link wait, link transit) are accumulated
-//     stage by stage in the fabric's delivery path so they sum exactly to
-//     the edge's arrive − depart span, even under cut-through pipelining
-//     where the stages overlap in time.
+//     stage by stage by the probe on the fabric's delivery path so they sum
+//     exactly to the edge's arrive − depart span, even under cut-through
+//     pipelining where the stages overlap in time.
 //   - Sum-to-makespan. The backward walk's clock decreases strictly from
 //     the makespan to zero and every span is attributed to exactly one
 //     category, so the report's attribution sums to the end-to-end runtime
@@ -30,13 +31,13 @@
 //     Dropped, which every export prints.
 //   - Deterministic exports. Reports hold no maps; slices are built in
 //     fixed orders with deterministic tie-breaks, so running the same
-//     experiment twice yields byte-identical JSON and text.
+//     experiment twice yields byte-identical JSON.
 package critpath
 
 import "strconv"
 
-// SchemaVersion identifies the critical-path report layout (JSON and
-// text); bump on incompatible changes. EXPERIMENTS.md documents the schema.
+// SchemaVersion identifies the critical-path report layout (JSON); bump
+// on incompatible changes. EXPERIMENTS.md documents the schema.
 const SchemaVersion = 1
 
 // DefaultCap bounds the total record count (waits + edges + per-hop wait

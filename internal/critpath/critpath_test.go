@@ -139,12 +139,12 @@ func TestRecorderCapDropsLoudly(t *testing.T) {
 	if d := math.Abs(rep.AttributionSum() - 2); d > 1e-12 {
 		t.Errorf("attribution sum off by %g with dropped records", d)
 	}
-	var txt strings.Builder
-	if err := rep.WriteText(&txt); err != nil {
+	var js strings.Builder
+	if err := rep.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(txt.String(), "WARNING: 4 records dropped") {
-		t.Errorf("text export hides the drop:\n%s", txt.String())
+	if !strings.Contains(js.String(), `"dropped": 4`) {
+		t.Errorf("JSON export hides the drop:\n%s", js.String())
 	}
 }
 

@@ -2,10 +2,7 @@ package critpath
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"xtsim/internal/telemetry"
 )
 
 // Attribution is one category's share of the critical path.
@@ -41,8 +38,8 @@ type SlackStats struct {
 }
 
 // Report is the critical-path export of one simulated run. It holds no
-// maps and every slice is built in a fixed order, so the JSON and text
-// renderings are byte-identical across runs.
+// maps and every slice is built in a fixed order, so its JSON rendering is
+// byte-identical across runs.
 type Report struct {
 	SchemaVersion   int     `json:"schema_version"`
 	MakespanSeconds float64 `json:"makespan_seconds"`
@@ -106,41 +103,5 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	}
 	buf = append(buf, '\n')
 	_, err = w.Write(buf)
-	return err
-}
-
-// WriteText writes the human-oriented rendering: the attribution split,
-// the contributor lists, and the slack summary.
-func (r *Report) WriteText(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("critical path: makespan %s s over %d ranks (%d waits, %d edges, %d steps, %d rank hops)\n",
-		telemetry.G(r.MakespanSeconds), r.Ranks, r.WaitsRecorded, r.EdgesRecorded, r.PathSteps, r.PathHops)
-	if r.Dropped > 0 {
-		p("WARNING: %d records dropped at the recorder cap; attribution is degraded\n", r.Dropped)
-	}
-	for _, a := range r.Attribution {
-		p("  %-14s %12.6f ms  %6.2f%%\n", a.Category, a.Seconds*1e3, a.Share*100)
-	}
-	list := func(title string, cs []Contributor) {
-		if len(cs) == 0 {
-			return
-		}
-		p("%s:\n", title)
-		for _, c := range cs {
-			p("  %-16s %12.6f ms  %6.2f%%\n", c.Name, c.Seconds*1e3, c.Share*100)
-		}
-	}
-	list("path time by op class", r.ByClass)
-	list("path time by rank", r.ByRank)
-	list("path queue wait by link", r.ByLink)
-	if s := r.Slack; s != nil {
-		p("slack: min %.6f ms (rank %d), mean %.6f ms, max %.6f ms (rank %d)\n",
-			s.MinSeconds*1e3, s.MinRank, s.MeanSeconds*1e3, s.MaxSeconds*1e3, s.MaxRank)
-	}
 	return err
 }

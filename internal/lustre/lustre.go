@@ -95,16 +95,12 @@ type FS struct {
 	ossNet  []*sim.PSResource // per-OSS network path, shared by its OSTs
 	ostNode []int             // fabric node hosting each OST's OSS
 
-	// tel holds the opt-in I/O counters, nil until EnableTelemetry — the
-	// same nil-gated idiom as the fabric's byte counters: telemetry off
-	// costs each transfer one nil check.
-	tel *telemetry.IOStats
-
-	// tl is the timeline flight recorder's collector, nil until
-	// EnableTimeline. A system with I/O attached plans the serial engine
-	// (core.System.AttachIO), so one serial collector covers every OST
-	// sample.
-	tl *timeline.Collector
+	// probe is the serial engine domain's reservation probe, nil while no
+	// observer is on — the fabric's nil-gate idiom: observers off cost
+	// each stripe one nil check. It carries telemetry's I/O counters and
+	// the timeline's OST bins. A system with I/O attached plans the serial
+	// engine (core.System.AttachIO), so one probe covers every stripe.
+	probe *timeline.Probe
 
 	nextFileID int
 	// Stats.
@@ -140,23 +136,22 @@ func New(eng *sim.Engine, fabric *network.Fabric, cfg Config) (*FS, error) {
 	return fs, nil
 }
 
-// EnableTelemetry installs the filesystem's I/O counters (idempotent) and,
-// when set is non-nil, registers them as the system set's IO member.
-// Returns the counters for direct inspection.
-func (fs *FS) EnableTelemetry(set *telemetry.Set) *telemetry.IOStats {
-	if fs.tel == nil {
-		fs.tel = telemetry.NewIOStats(fs.Cfg.TotalOSTs())
-	}
-	if set != nil {
-		set.IO = fs.tel
-	}
-	return fs.tel
-}
+// InstallProbe installs the reservation probe the filesystem's transfers
+// report to; its IO counters, when set, must be sized for OSTs().
+// core.System.Plan calls it for a filesystem registered with AttachIO,
+// before any traffic.
+func (fs *FS) InstallProbe(p *timeline.Probe) { fs.probe = p }
 
-// EnableTimeline installs the timeline collector (nil-gated, like tel):
-// each stripe issue then samples its OST's nominal service interval into
-// the flight recorder's OST class bins.
-func (fs *FS) EnableTimeline(c *timeline.Collector) { fs.tl = c }
+// OSTs reports the deployment's object-storage-target count.
+func (fs *FS) OSTs() int { return fs.Cfg.TotalOSTs() }
+
+// ioStats returns telemetry's I/O counters, nil unless telemetry is on.
+func (fs *FS) ioStats() *telemetry.IOStats {
+	if fs.probe == nil {
+		return nil
+	}
+	return fs.probe.IO
+}
 
 // TelemetryReport assembles the filesystem's deterministic I/O report over
 // [0, horizon]: MDS pressure from the FIFO resource, client byte totals
@@ -164,10 +159,10 @@ func (fs *FS) EnableTimeline(c *timeline.Collector) { fs.tl = c }
 // bandwidth utilizations (bytes served / OSTBandwidth×horizon), and the
 // client write-time histogram. Returns nil unless telemetry is enabled.
 func (fs *FS) TelemetryReport(horizon float64) *telemetry.IOReport {
-	if fs.tel == nil {
+	t := fs.ioStats()
+	if t == nil {
 		return nil
 	}
-	t := fs.tel
 	rep := &telemetry.IOReport{
 		OSTs:               fs.Cfg.TotalOSTs(),
 		MDSOps:             fs.MetaOps,
@@ -298,8 +293,8 @@ func (r *WriteRequest) complete() {
 	r.finish = fs.eng.Now()
 	if r.write {
 		fs.BytesWrote += uint64(r.length)
-		if fs.tel != nil {
-			fs.tel.ObserveWrite(float64(r.finish - r.start))
+		if t := fs.ioStats(); t != nil {
+			t.ObserveWrite(float64(r.finish - r.start))
 		}
 	} else {
 		fs.BytesRead += uint64(r.length)
@@ -319,11 +314,11 @@ func (f *File) issue(at sim.Time, clientNode int, offset, length int64, write bo
 		return
 	}
 	fs := f.fs
-	if fs.tel != nil {
+	if t := fs.ioStats(); t != nil {
 		if write {
-			fs.tel.ClientBytesWritten += length
+			t.ClientBytesWritten += length
 		} else {
-			fs.tel.ClientBytesRead += length
+			t.ClientBytesRead += length
 		}
 	}
 	// Split the request into per-OST byte counts.
@@ -348,18 +343,8 @@ func (f *File) issue(at sim.Time, clientNode int, offset, length int64, write bo
 		bytes := perOST[ost]
 		req.outstanding++
 		ost := ost
-		if fs.tel != nil {
-			fs.tel.OSTBytes[ost] += bytes
-			if write {
-				fs.tel.OSTWriteBytes[ost] += bytes
-			}
-		}
-		if fs.tl != nil {
-			// Nominal disk-service interval from issue time: the OST is
-			// processor-shared, so the exact span isn't knowable at issue —
-			// this bins *demand* placement, which is what the interference
-			// window needs, deterministically.
-			fs.tl.Sample(timeline.OST, at, at, at+float64(bytes)/fs.Cfg.OSTBandwidth)
+		if pr := fs.probe; pr != nil {
+			pr.Stripe(ost, bytes, write, at, float64(bytes)/fs.Cfg.OSTBandwidth)
 		}
 		// OSS network path then OST disk, processor-shared with concurrent
 		// streams.

@@ -7,6 +7,8 @@ import (
 	"xtsim/internal/machine"
 	"xtsim/internal/network"
 	"xtsim/internal/sim"
+	"xtsim/internal/telemetry"
+	"xtsim/internal/timeline"
 )
 
 func testFS(t *testing.T, cfg Config) (*sim.Engine, *FS) {
@@ -395,7 +397,10 @@ func TestTelemetryConservationOnMixedTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tel := fs.EnableTelemetry(nil)
+		probe := timeline.NewProbe(nil, nil)
+		probe.IO = telemetry.NewIOStats(fs.OSTs())
+		fs.InstallProbe(probe)
+		tel := probe.IO
 		for c := 0; c < 4; c++ {
 			c := c
 			eng.Spawn("client", func(p *sim.Proc) {

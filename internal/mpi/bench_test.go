@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"xtsim/internal/core"
@@ -43,6 +44,33 @@ func BenchmarkMPIPingPong(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pingPongAllocs runs the ping-pong benchmark once through
+// testing.Benchmark and reports its allocs/op. With no observer on, the
+// fabric's one reservation probe is nil and the MPI layer's telemetry,
+// critical-path and timeline pointers are nil, so the telemetry, timeline
+// and critpath off paths are one path, measured once and shared by the
+// three zero-alloc guards.
+var pingPongAllocs = sync.OnceValue(func() int64 {
+	return testing.Benchmark(BenchmarkMPIPingPong).AllocsPerOp()
+})
+
+// requireZeroAllocPingPong is the zero-alloc guard for the observer-off
+// message path: each site pays a nil check and the Send/Recv round trip
+// must stay allocation-free. off names the observer the calling guard is
+// about.
+func requireZeroAllocPingPong(t *testing.T, off string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("benchmark-backed guard skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	if a := pingPongAllocs(); a != 0 {
+		t.Fatalf("Send/Recv round trip allocates %d allocs/op with %s off, want 0", a, off)
+	}
 }
 
 // benchCollective runs body b.N times on every rank of an algorithmic

@@ -118,8 +118,9 @@ func (p *P) opBegin(class OpClass) sim.Time {
 	return p.task.Now()
 }
 
-// opEnd closes the region opened by opBegin, attributing elapsed simulated
-// time, the call count, and a tracer record only for top-level regions.
+// opEnd closes the region opened by opBegin. Only top-level regions
+// attribute elapsed simulated time and the call count, and only top-level
+// collectives and I/O regions become timeline spans.
 func (p *P) opEnd(class OpClass, start sim.Time) {
 	p.opDepth--
 	if start < 0 {
@@ -130,9 +131,6 @@ func (p *P) opEnd(class OpClass, start sim.Time) {
 	p.prof.Calls[class]++
 	if p.c.tel != nil {
 		p.c.tel.EndOp(int(class), now-start)
-	}
-	if tr := p.c.w.sys.Tracer; tr != nil {
-		tr.Record(p.task.ID, class.String(), start, now)
 	}
 	if class >= OpBarrier && p.c.w.tl != nil {
 		// Top-level collectives and I/O regions become timeline phase

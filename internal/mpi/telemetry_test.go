@@ -95,19 +95,9 @@ func TestTelemetrySubCommunicators(t *testing.T) {
 
 // TestSendRecvZeroAllocsWithTelemetryOff is the zero-alloc guard the CI
 // relies on: the telemetry-off message hot path must not regress to
-// allocating, since the nil-gated counters are the only thing this PR added
-// to it. Runs the ping-pong benchmark once through testing.Benchmark.
+// allocating.
 func TestSendRecvZeroAllocsWithTelemetryOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed guard skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("allocation counts are perturbed under the race detector")
-	}
-	res := testing.Benchmark(BenchmarkMPIPingPong)
-	if a := res.AllocsPerOp(); a != 0 {
-		t.Fatalf("Send/Recv round trip allocates %d allocs/op with telemetry off, want 0", a)
-	}
+	requireZeroAllocPingPong(t, "telemetry")
 }
 
 // BenchmarkMPIPingPongTelemetry is the ping-pong with telemetry enabled:

@@ -1,25 +1,59 @@
 package mpi
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
+	"xtsim/internal/core"
 	"xtsim/internal/machine"
 )
 
 // TestSendRecvZeroAllocsWithTimelineOff is the flight recorder's zero-alloc
-// guard: the timeline-off message hot path must stay allocation-free — the
-// nil-gated Sample/Span sites are the only thing the timeline PR added to
-// it. Runs the ping-pong benchmark once through testing.Benchmark.
+// guard: the timeline-off message hot path must stay allocation-free.
 func TestSendRecvZeroAllocsWithTimelineOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed guard skipped in -short")
+	requireZeroAllocPingPong(t, "the timeline")
+}
+
+// TestTimelineCapturesSimulation attaches the flight recorder to a live
+// run: an application phase and a collective on every rank become spans
+// with simulated timestamps inside the makespan, and the Chrome export
+// carries every one of them.
+func TestTimelineCapturesSimulation(t *testing.T) {
+	sys := newSys(4, machine.SN).EnableTimeline()
+	end := Run(sys, Algorithmic, func(p *P) {
+		start := p.PhaseBegin()
+		p.Compute(core.Work{Flops: 1e8, FlopEff: 0.5})
+		p.PhaseEnd("compute", start)
+		p.Allreduce(Sum, 8, nil)
+	})
+	rep := sys.TimelineReport(end)
+	seconds := map[string]float64{}
+	for _, ip := range rep.Iterations {
+		seconds[ip.Phase] += ip.SpanSeconds
 	}
-	if raceEnabled {
-		t.Skip("allocation counts are perturbed under the race detector")
+	if seconds["compute"] <= 0 || seconds["Allreduce"] <= 0 {
+		t.Fatalf("phase seconds = %v, want compute and Allreduce spans", seconds)
 	}
-	res := testing.Benchmark(BenchmarkMPIPingPong)
-	if a := res.AllocsPerOp(); a != 0 {
-		t.Fatalf("Send/Recv round trip allocates %d allocs/op with the timeline off, want 0", a)
+	var buf bytes.Buffer
+	if err := rep.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name    string
+		Ts, Dur float64
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	// 4 ranks × (1 compute + 1 Allreduce) = 8 spans.
+	if rep.Spans != 8 || len(events) != 8 {
+		t.Fatalf("spans = %d, Chrome events = %d, want 8", rep.Spans, len(events))
+	}
+	for _, e := range events {
+		if (e.Ts+e.Dur)/1e6 > end+1e-9 {
+			t.Fatalf("span %+v extends past makespan %v", e, end)
+		}
 	}
 }
 

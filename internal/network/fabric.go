@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"xtsim/internal/critpath"
 	"xtsim/internal/machine"
 	"xtsim/internal/sim"
 	"xtsim/internal/telemetry"
@@ -34,8 +33,7 @@ const usToS = 1e-6
 // arrival goes:
 //
 //   - the serial ledger, embedded in Fabric, books the fabric's own links
-//     and injection ports, feeds the observers and schedules arrivals on
-//     the fabric's engine;
+//     and injection ports and schedules arrivals on the fabric's engine;
 //   - a domain ledger (sharded mode, parallel.go) books the same resources
 //     but only on its own slab — hops past the first foreign link are
 //     priced at uncontended wire time and counted — and posts arrivals to
@@ -62,24 +60,13 @@ type ledger struct {
 	// callers price transfers without scheduling them.
 	eng *sim.Engine
 
-	// tel holds per-resource payload-byte and queue-wait counters, nil
-	// until EnableTelemetry. Off, each reservation site pays one nil check
-	// and allocates nothing; busy seconds and reservation counts come from
-	// the FIFOResources themselves at report time, so only bytes and waits
-	// accumulate here. Serial ledger only.
-	tel *telemetry.FabricBytes
-
-	// tl is the timeline flight recorder's collector, nil until
-	// EnableTimeline — the same nil-gate idiom as tel. Under the sharded
-	// scheduler each domain ledger holds its own collector and the serial
-	// ledger's stays nil (see EnableParallel).
-	tl *timeline.Collector
-
-	// cp is the causal recorder, nil until EnableCritPath — the same
-	// nil-gate idiom as tel. When on, each delivery builds one
-	// happens-before edge whose stage components sum exactly to its
-	// arrive − depart span. Serial ledger only.
-	cp *critpath.Recorder
+	// probe observes every reservation the ledger books (timeline.Probe:
+	// telemetry's counters, the timeline's bins and, on the serial ledger,
+	// the critical-path edge stages). It is nil while no observer is on,
+	// so each reservation site pays one nil check and allocates nothing.
+	// core.System.Plan installs it: the serial ledger's with InstallProbe,
+	// each domain ledger's with EnableParallel. A hybrid ledger has none.
+	probe *timeline.Probe
 
 	// part is non-nil on a domain ledger, which owns slab dom of it;
 	// foreignHops counts the hops it priced without reservation.
@@ -119,7 +106,7 @@ type Fabric struct {
 	Tor torus.Torus
 
 	// ledger is the serial delivery ledger: the fabric's links, injection
-	// ports, route cache and observers (so f.links, f.tel and the rest name
+	// ports, route cache and probe (so f.links, f.probe and the rest name
 	// its fields).
 	ledger
 
@@ -132,18 +119,14 @@ type Fabric struct {
 	// per link.
 	derate []float64
 
-	// lastEdge is the critical-path edge id of the most recent delivery, so
-	// the MPI layer can stamp it into the matching envelope and request.
-	lastEdge int32
-
 	// freeVN is a free list of VN-mode arrival records, recycled when the
 	// arrival event fires, so the per-message VN receive path allocates
 	// nothing in steady state.
 	freeVN *vnArrival
 
 	// par is the sharded-delivery state, nil in serial mode — the same
-	// nil-gate idiom as derate/tel/cp, so the serial hot path pays one nil
-	// check to pick its ledger. See parallel.go and DESIGN.md §4h.
+	// nil-gate idiom as derate and the probe, so the serial hot path pays
+	// one nil check to pick its ledger. See parallel.go and DESIGN.md §4h.
 	par *parState
 
 	// sio lists the torus node ids reserved for service-I/O duty (set by
@@ -274,18 +257,8 @@ func (f *Fabric) deliverLocal(lg *ledger, at sim.Time, msg Msg, onArrive sim.Arr
 	nic := f.M.NIC
 	done := at + 0.5*nic.SendOverheadUS*usToS + float64(msg.Bytes)/nic.MemcpyBW
 	tl := Timeline{Depart: at, Injected: done, Arrive: done + 0.5*nic.RecvOverheadUS*usToS}
-	if lg.tel != nil {
-		lg.tel.Local += msg.Bytes
-	}
-	if lg.cp != nil {
-		id, e := lg.cp.StartEdge(critpath.EdgeMessage, at, msg.Bytes, 0)
-		if e != nil {
-			// Halved software overheads plus the memcpy: the two
-			// components sum to Arrive − at exactly.
-			e.Overhead = 0.5 * (f.M.NIC.SendOverheadUS + f.M.NIC.RecvOverheadUS) * usToS
-			e.Inject = float64(msg.Bytes) / f.M.NIC.MemcpyBW
-		}
-		f.lastEdge = id
+	if pr := lg.probe; pr != nil {
+		pr.Memcpy(at, msg.Bytes, 0.5*(nic.SendOverheadUS+nic.RecvOverheadUS)*usToS, float64(msg.Bytes)/nic.MemcpyBW)
 	}
 	if onArrive != nil {
 		lg.eng.AtArrive(tl.Arrive, onArrive)
@@ -300,7 +273,7 @@ func (f *Fabric) deliverLocal(lg *ledger, at sim.Time, msg Msg, onArrive sim.Arr
 type vnArrival struct {
 	f     *Fabric
 	node  int         // destination node
-	bytes int64       // payload size, for telemetry accounting
+	bytes int64       // payload size, for the probe
 	extra sim.Time    // post-proxy mediation + receive software overhead
 	edge  int32       // critical-path edge id, 0 when recording is off
 	sink  sim.Arriver // caller's callback (may be nil)
@@ -313,23 +286,12 @@ func (v *vnArrival) Arrive(tail sim.Time) {
 	sink := v.sink
 	dur := f.M.NIC.VNProxyUS * usToS
 	start := f.vnProxy[v.node].Reserve(tail, dur)
-	if f.tel != nil {
-		f.tel.VNProxy[v.node] += v.bytes
-		f.tel.VNProxyWait[v.node] += start - tail
-	}
-	if f.tl != nil {
-		f.tl.Sample(timeline.VNProxy, tail, start, start+dur)
+	if pr := f.probe; pr != nil {
+		// The receive-side proxy stage finishes the edge's decomposition,
+		// keeping the component sum equal to the arrival − Depart.
+		pr.Reserve(v.edge, timeline.VNProxy, v.node, v.bytes, tail, start, dur)
 	}
 	arr := start + dur + v.extra
-	if v.edge != 0 {
-		// Finish the edge's decomposition with the receive-side proxy
-		// stage, keeping the component sum equal to arr − Depart.
-		e := f.cp.Edge(v.edge)
-		e.InjWait += start - tail
-		e.Inject += dur
-		e.Overhead += v.extra
-		v.edge = 0
-	}
 	v.sink = nil
 	v.next = f.freeVN
 	f.freeVN = v
@@ -339,7 +301,7 @@ func (v *vnArrival) Arrive(tail sim.Time) {
 }
 
 // newVNArrival takes a record from the free list (or allocates one).
-func (f *Fabric) newVNArrival(node int, bytes int64, extra sim.Time, sink sim.Arriver) *vnArrival {
+func (f *Fabric) newVNArrival(node int, bytes int64, extra sim.Time, edge int32, sink sim.Arriver) *vnArrival {
 	v := f.freeVN
 	if v == nil {
 		v = &vnArrival{f: f}
@@ -347,7 +309,7 @@ func (f *Fabric) newVNArrival(node int, bytes int64, extra sim.Time, sink sim.Ar
 		f.freeVN = v.next
 		v.next = nil
 	}
-	v.node, v.bytes, v.extra, v.sink = node, bytes, extra, sink
+	v.node, v.bytes, v.extra, v.edge, v.sink = node, bytes, extra, edge, sink
 	return v
 }
 
@@ -377,7 +339,9 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 		panic("network: VN-mode delivery off the serial fabric")
 	}
 
-	// Send-side software overhead.
+	// Send-side software overhead. ov sums every software overhead the
+	// message pays, stage by stage, for its critical-path edge.
+	ov := nic.SendOverheadUS * usToS
 	t := at + nic.SendOverheadUS*usToS
 
 	// The cached dimension-ordered route, as link ids; its length is the
@@ -385,17 +349,14 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 	route := lg.routes.LinkIDs(msg.SrcNode, msg.DstNode)
 	hops := len(route)
 
-	// Critical-path edge: each stage below adds its contribution so the
-	// five components sum exactly to the arrival − at span, even though
-	// the stages themselves overlap under cut-through pipelining.
+	// The probe observes each reservation below. With critical-path
+	// recording on, the message's edge collects each stage, so its five
+	// components sum exactly to the arrival − at span even though the
+	// stages overlap under cut-through pipelining.
+	pr := lg.probe
 	var eid int32
-	var e *critpath.Edge
-	if lg.cp != nil {
-		eid, e = lg.cp.StartEdge(critpath.EdgeMessage, at, msg.Bytes, hops)
-		f.lastEdge = eid
-		if e != nil {
-			e.Overhead += nic.SendOverheadUS * usToS
-		}
+	if pr != nil {
+		eid = pr.Message(at, msg.Bytes, hops)
 	}
 
 	// Rendezvous protocol: large messages pay a control round-trip before
@@ -403,33 +364,22 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 	if nic.RendezvousThresholdBytes > 0 && msg.Bytes > int64(nic.RendezvousThresholdBytes) {
 		rtt := 2 * (nic.SendOverheadUS*usToS + float64(hops)*link.HopLatencyUS*usToS)
 		t += rtt
-		if e != nil {
-			e.Overhead += rtt
-		}
+		ov += rtt
 	}
 
 	// Virtual-node mode: traffic to or from the non-NIC core is mediated
 	// by core 0, adding fixed latency plus queueing on the handling core.
+	dur := nic.VNProxyUS * usToS
 	if vn {
 		if msg.SrcCore > 0 {
 			t += nic.VNMediationUS * usToS
-			if e != nil {
-				e.Overhead += nic.VNMediationUS * usToS
-			}
+			ov += nic.VNMediationUS * usToS
 		}
-		start := f.vnProxy[msg.SrcNode].Reserve(t, nic.VNProxyUS*usToS)
-		if lg.tel != nil {
-			lg.tel.VNProxy[msg.SrcNode] += msg.Bytes
-			lg.tel.VNProxyWait[msg.SrcNode] += start - t
+		start := f.vnProxy[msg.SrcNode].Reserve(t, dur)
+		if pr != nil {
+			pr.Reserve(eid, timeline.VNProxy, msg.SrcNode, msg.Bytes, t, start, dur)
 		}
-		if lg.tl != nil {
-			lg.tl.Sample(timeline.VNProxy, t, start, start+nic.VNProxyUS*usToS)
-		}
-		if e != nil {
-			e.InjWait += start - t
-			e.Inject += nic.VNProxyUS * usToS
-		}
-		t = start + nic.VNProxyUS*usToS
+		t = start + dur
 	}
 
 	// NIC injection: the payload serialises through the HyperTransport/
@@ -439,17 +389,8 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 		return Timeline{}
 	}
 	t0 := lg.nicTx[msg.SrcNode].Reserve(t, injTime)
-	if lg.tel != nil {
-		lg.tel.NICTx[msg.SrcNode] += msg.Bytes
-		lg.tel.NICTxWait[msg.SrcNode] += t0 - t
-		lg.tel.Hop += msg.Bytes * int64(hops)
-	}
-	if lg.tl != nil {
-		lg.tl.Sample(timeline.NIC, t, t0, t0+injTime)
-	}
-	if e != nil {
-		e.InjWait += t0 - t
-		e.Inject += injTime
+	if pr != nil {
+		pr.Reserve(eid, timeline.NIC, msg.SrcNode, msg.Bytes, t, t0, injTime)
 	}
 
 	// Links along the dimension-ordered route, cut-through pipelined: the
@@ -459,9 +400,8 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 	head := t0
 	var lastStart sim.Time = t0
 	lastSer := 0.0
-	linkWaitSum := 0.0
-	// Hoisted: Reserve can't alias these, but the compiler can't tell.
-	links, tel, tl := lg.links, lg.tel, lg.tl
+	// Hoisted: Reserve can't alias it, but the compiler can't tell.
+	links := lg.links
 	restricted := lg.part != nil || lg.linkOwner != nil
 	for _, id := range route {
 		bw := link.BW
@@ -488,18 +428,8 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 			}
 			s = links[id].Reserve(req, linkSer)
 		}
-		if tel != nil {
-			tel.Link[id] += msg.Bytes
-			tel.LinkWait[id] += s - req
-		}
-		if tl != nil {
-			tl.Sample(timeline.Link, req, s, s+linkSer)
-		}
-		if e != nil {
-			if wv := s - req; wv > 0 {
-				linkWaitSum += wv
-				lg.cp.AddHopWait(eid, int32(id), wv)
-			}
+		if pr != nil {
+			pr.Reserve(eid, timeline.Link, int(id), msg.Bytes, req, s, linkSer)
 		}
 		head = s
 		lastStart = s
@@ -513,18 +443,17 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 	if lower := t0 + injTime + float64(hops)*link.HopLatencyUS*usToS; lower > tail {
 		tail = lower
 	}
-	if e != nil {
-		// The link phase spans injection-complete → tail. Under pipelining
-		// the per-hop waits overlap serialisation, so cap their sum at the
-		// phase length; the remainder is wire time (latency + pipeline
-		// fill). This keeps LinkWait + Transit exactly equal to the phase.
-		phase := tail - (t0 + injTime)
-		lw := linkWaitSum
-		if lw > phase {
-			lw = phase
-		}
-		e.LinkWait += lw
-		e.Transit += phase - lw
+
+	// Receive-side mediation (VN mode, far core) and software overhead
+	// close the edge's overhead sum, and the link phase closes its route.
+	injected := t0 + injTime
+	recvOv := nic.RecvOverheadUS * usToS
+	med := 0.0
+	if vn && msg.DstCore > 0 {
+		med = nic.VNMediationUS * usToS
+	}
+	if pr != nil {
+		pr.Transit(eid, ov+(med+recvOv), injected, tail)
 	}
 
 	// On flat switched fabrics the ejection port is a real bottleneck
@@ -534,39 +463,22 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 	if f.M.Topology == machine.FlatSwitch {
 		ej := size / nic.EffBW()
 		s := f.nicRx[msg.DstNode].Reserve(tail-ej, ej)
-		if lg.tel != nil {
-			lg.tel.NICRx[msg.DstNode] += msg.Bytes
-			lg.tel.NICRxWait[msg.DstNode] += s - (tail - ej)
-		}
-		if e != nil {
-			e.LinkWait += s - (tail - ej)
+		if pr != nil {
+			pr.Reserve(eid, timeline.NICRx, msg.DstNode, msg.Bytes, tail-ej, s, ej)
 		}
 		tail = s + ej
 	}
 
-	// Receive-side mediation and software overhead.
-	injected := t0 + injTime
-	recvOv := nic.RecvOverheadUS * usToS
 	if vn {
-		dur := nic.VNProxyUS * usToS
-		med := 0.0
-		if msg.DstCore > 0 {
-			med = nic.VNMediationUS * usToS
-		}
 		// Reserve the handling core when the payload actually arrives, so
-		// contention reflects arrival order. The critical-path edge is
-		// finished there too (receive-proxy queueing isn't known yet).
-		v := f.newVNArrival(msg.DstNode, msg.Bytes, med+recvOv, onArrive)
-		v.edge = eid
-		lg.eng.AtArrive(tail, v)
+		// contention reflects arrival order; the edge's receive-proxy
+		// queueing is charged there too.
+		lg.eng.AtArrive(tail, f.newVNArrival(msg.DstNode, msg.Bytes, med+recvOv, eid, onArrive))
 		// The returned timeline carries the uncontended estimate; the
 		// authoritative arrival is the onArrive callback's timestamp.
 		return Timeline{Depart: at, Injected: injected, Arrive: tail + dur + med + recvOv}
 	}
 	arrive := tail + recvOv
-	if e != nil {
-		e.Overhead += recvOv
-	}
 	if onArrive != nil {
 		if lg.part != nil {
 			// To the destination slab through the window merge. Tiebreak:
@@ -633,43 +545,25 @@ func (f *Fabric) LinkUtilization(horizon sim.Time) []float64 {
 	return out
 }
 
-// EnableTelemetry installs the per-resource byte counters (nil-gated, like
-// derate) and returns them. Idempotent; call before the traffic of
-// interest — counters start from zero at the moment of the call.
-func (f *Fabric) EnableTelemetry() *telemetry.FabricBytes {
-	if f.tel == nil {
-		f.tel = telemetry.NewFabricBytes(f.Tor.NumLinks(), f.Tor.Nodes())
-	}
-	return f.tel
-}
-
-// TelemetryEnabled reports whether EnableTelemetry has been called.
-func (f *Fabric) TelemetryEnabled() bool { return f.tel != nil }
-
-// EnableTimeline installs the serial timeline collector (nil-gated, like
-// tel): each subsequent reservation is sampled into its fixed-width bins.
-// Sharded delivery replaces it with one collector per domain
-// (EnableParallel).
-func (f *Fabric) EnableTimeline(c *timeline.Collector) { f.tl = c }
+// InstallProbe installs the serial ledger's reservation probe; nil leaves
+// every reservation unobserved. core.System.Plan calls it once the engine
+// is planned, before any traffic.
+func (f *Fabric) InstallProbe(p *timeline.Probe) { f.probe = p }
 
 // NumLinks reports the number of directed torus links — the Link-class
 // resource count for timeline utilization normalisation.
 func (f *Fabric) NumLinks() int { return len(f.links) }
 
-// EnableCritPath installs the causal recorder (nil-gated, like tel); each
-// delivery then records a happens-before edge with per-stage time
-// components and per-hop link queue waits. Call before the traffic of
-// interest.
-func (f *Fabric) EnableCritPath(rec *critpath.Recorder) { f.cp = rec }
-
-// CritPathEnabled reports whether EnableCritPath has been called.
-func (f *Fabric) CritPathEnabled() bool { return f.cp != nil }
-
 // LastCritPathEdge returns the edge id recorded by the most recent Deliver
 // call, or 0 when recording is off or the edge was dropped at the cap.
 // The MPI layer reads it right after Deliver to stamp the edge into the
 // matching envelope (single-threaded event execution makes this safe).
-func (f *Fabric) LastCritPathEdge() int32 { return f.lastEdge }
+func (f *Fabric) LastCritPathEdge() int32 {
+	if f.probe == nil {
+		return 0
+	}
+	return f.probe.LastEdge()
+}
 
 // LinkLabel names a directed link from its dense id ("node 12 +X"); shared
 // by the telemetry and critical-path reports.
@@ -690,22 +584,24 @@ const telemetryTopLinks = 5
 
 // TelemetryReport assembles the fabric's deterministic utilization report
 // over [0, horizon]: per-class and per-dimension summaries, the per-node
-// congestion field, and the busiest links. Returns nil unless telemetry is
-// enabled. Busy seconds and reservation counts are read from the
-// FIFOResources (pre-existing fields); bytes and queue-wait seconds come
-// from the nil-gated hot-path accumulators.
+// congestion field, and the busiest links. Returns nil unless the serial
+// probe counts for telemetry. Busy seconds and reservation counts are read
+// from the FIFOResources (pre-existing fields); bytes and queue-wait
+// seconds come from the probe's counters.
 func (f *Fabric) TelemetryReport(horizon sim.Time) *telemetry.FabricReport {
-	if f.tel == nil {
+	pr := f.probe
+	if !pr.Counting() {
 		return nil
 	}
+	bytes, wait := &pr.Bytes, &pr.Wait
 	tor := f.Tor
 	rep := &telemetry.FabricReport{
 		NX: tor.NX, NY: tor.NY, NZ: tor.NZ,
 		Torus:          fmt.Sprintf("%dx%dx%d", tor.NX, tor.NY, tor.NZ),
 		MsgsDelivered:  f.MsgsDelivered,
 		BytesDelivered: f.BytesDelivered,
-		LocalBytes:     f.tel.Local,
-		HopBytes:       f.tel.Hop,
+		LocalBytes:     pr.LocalBytes,
+		HopBytes:       pr.HopBytes,
 	}
 
 	// Per-class summaries, in fixed order. The busiest-resource label
@@ -713,18 +609,18 @@ func (f *Fabric) TelemetryReport(horizon sim.Time) *telemetry.FabricReport {
 	linkAgg := telemetry.NewClassAgg("link", horizon)
 	for i := range f.links {
 		r := &f.links[i]
-		linkAgg.Add(r.Busy, f.tel.LinkWait[i], f.tel.Link[i], r.Count)
+		linkAgg.Add(r.Busy, wait[timeline.Link][i], bytes[timeline.Link][i], r.Count)
 	}
-	nodeClass := func(name string, rs []sim.FIFOResource, bytes []int64, wait []float64) *telemetry.ClassAgg {
+	nodeClass := func(name string, rs []sim.FIFOResource, cl timeline.Class) *telemetry.ClassAgg {
 		agg := telemetry.NewClassAgg(name, horizon)
 		for i := range rs {
-			agg.Add(rs[i].Busy, wait[i], bytes[i], rs[i].Count)
+			agg.Add(rs[i].Busy, wait[cl][i], bytes[cl][i], rs[i].Count)
 		}
 		return agg
 	}
-	txAgg := nodeClass("nic_tx", f.nicTx, f.tel.NICTx, f.tel.NICTxWait)
-	rxAgg := nodeClass("nic_rx", f.nicRx, f.tel.NICRx, f.tel.NICRxWait)
-	vnAgg := nodeClass("vn_proxy", f.vnProxy, f.tel.VNProxy, f.tel.VNProxyWait)
+	txAgg := nodeClass("nic_tx", f.nicTx, timeline.NIC)
+	rxAgg := nodeClass("nic_rx", f.nicRx, timeline.NICRx)
+	vnAgg := nodeClass("vn_proxy", f.vnProxy, timeline.VNProxy)
 	for _, agg := range []*telemetry.ClassAgg{linkAgg, txAgg, rxAgg, vnAgg} {
 		s := agg.Summary()
 		if i := agg.MaxIndex(); i >= 0 {
@@ -747,7 +643,7 @@ func (f *Fabric) TelemetryReport(horizon sim.Time) *telemetry.FabricReport {
 			}
 			r := &f.links[id]
 			before := agg.MaxIndex()
-			agg.Add(r.Busy, f.tel.LinkWait[id], f.tel.Link[id], r.Count)
+			agg.Add(r.Busy, wait[timeline.Link][id], bytes[timeline.Link][id], r.Count)
 			if agg.MaxIndex() != before {
 				maxID = id
 			}
@@ -789,8 +685,8 @@ func (f *Fabric) TelemetryReport(horizon sim.Time) *telemetry.FabricReport {
 			rep.TopLinks = append(rep.TopLinks, telemetry.LinkHot{
 				Link:        f.linkLabel(id),
 				Utilization: r.Busy / horizon,
-				Bytes:       f.tel.Link[id],
-				WaitSeconds: f.tel.LinkWait[id],
+				Bytes:       bytes[timeline.Link][id],
+				WaitSeconds: wait[timeline.Link][id],
 			})
 		}
 	}

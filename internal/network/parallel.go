@@ -45,12 +45,12 @@ func Lookahead(m machine.Machine) sim.Time {
 
 // fabricDomain is one slab's private fabric state: its ledger (shared link
 // and port arrays, slab-owned entries only; private route cache, engine
-// and timeline collector) and its delivery counters. Each field is touched
-// only by that slab's worker goroutine between barriers (and by the
-// coordinator thread at setup/fold time), so the ledger's timeline
-// sampling needs no synchronisation; the recorder folds the collectors
-// deterministically after the terminal window barrier. The trailing pad
-// keeps adjacent domains' hot counters off one cache line.
+// and probe) and its delivery counters. Each field is touched only by that
+// slab's worker goroutine between barriers (and by the coordinator thread
+// at setup/fold time), so the probe's timeline sampling needs no
+// synchronisation; the recorder folds the collectors deterministically
+// after the terminal window barrier. The trailing pad keeps adjacent
+// domains' hot counters off one cache line.
 type fabricDomain struct {
 	ledger
 	msgs, bytes uint64
@@ -66,12 +66,12 @@ type parState struct {
 
 // EnableParallel switches the fabric to sharded delivery. The partition
 // must cover this fabric's torus and match the sharded engine's domain
-// count. tl, when non-nil, holds each slab's timeline collector (index =
-// domain) and replaces the serial one. core.System's engine plan is the
-// one caller: its admission table keeps non-torus fabrics, and the
-// telemetry and critical-path recorders that aggregate on the serial
-// ledger, off sharded runs. Call before any traffic.
-func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition, tl []*timeline.Collector) {
+// count. probes, when non-nil, holds each slab's reservation probe (index
+// = domain). core.System's engine plan is the one caller: its admission
+// table keeps non-torus fabrics, and the telemetry and critical-path
+// recorders that aggregate on the serial ledger, off sharded runs, so
+// these probes only sample the timeline. Call before any traffic.
+func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition, probes []*timeline.Probe) {
 	if part.Topology() != f.Tor || sh.NumDomains() != part.NumDomains() {
 		panic(fmt.Sprintf("network: %d-domain scheduler and partition %v do not shard fabric %v",
 			sh.NumDomains(), part, f.Tor))
@@ -86,11 +86,10 @@ func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition, tl 
 			part:   &p.part,
 			dom:    i,
 		}
-		if tl != nil {
-			p.dom[i].tl = tl[i]
+		if probes != nil {
+			p.dom[i].probe = probes[i]
 		}
 	}
-	f.tl = nil
 	f.par = p
 }
 

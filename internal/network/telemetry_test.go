@@ -7,7 +7,16 @@ import (
 	"xtsim/internal/machine"
 	"xtsim/internal/sim"
 	"xtsim/internal/telemetry"
+	"xtsim/internal/timeline"
 )
+
+// enableTelemetry installs a serial probe with telemetry's counters on, as
+// core.System.Plan does for a system with telemetry enabled.
+func enableTelemetry(f *Fabric) {
+	p := timeline.NewProbe(nil, nil)
+	p.Count(f.NumLinks(), f.Tor.Nodes())
+	f.InstallProbe(p)
+}
 
 // soak drives every ordered pair of the fabric once (plus one local
 // message), runs the engine to completion, and returns the last arrival
@@ -42,18 +51,19 @@ func soak(f *Fabric, mode machine.Mode) sim.Time {
 func TestTelemetryDisabledReportsNil(t *testing.T) {
 	f := New(sim.NewEngine(), machine.XT4(), 8)
 	soak(f, machine.SN)
-	if f.TelemetryEnabled() {
-		t.Fatal("telemetry enabled without EnableTelemetry")
-	}
 	if rep := f.TelemetryReport(1); rep != nil {
 		t.Fatal("disabled fabric must report nil")
+	}
+	f.InstallProbe(timeline.NewProbe(nil, nil))
+	if rep := f.TelemetryReport(1); rep != nil {
+		t.Fatal("a probe without telemetry's counters must report nil")
 	}
 }
 
 func TestTelemetryConservation(t *testing.T) {
 	for _, mode := range []machine.Mode{machine.SN, machine.VN} {
 		f := New(sim.NewEngine(), machine.XT4(), 16)
-		f.EnableTelemetry()
+		enableTelemetry(f)
 		horizon := soak(f, mode)
 		rep := f.TelemetryReport(horizon)
 		if rep == nil {
@@ -105,7 +115,7 @@ func TestTelemetryConservation(t *testing.T) {
 func TestTelemetryReportDeterministic(t *testing.T) {
 	render := func() []byte {
 		f := New(sim.NewEngine(), machine.XT4(), 16)
-		f.EnableTelemetry()
+		enableTelemetry(f)
 		horizon := soak(f, machine.SN)
 		rep := &telemetry.Report{
 			SchemaVersion:  telemetry.SchemaVersion,
@@ -114,9 +124,6 @@ func TestTelemetryReportDeterministic(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteProm(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := rep.Fabric.WriteHeatmap(&buf); err != nil {
@@ -152,7 +159,7 @@ func TestLinkLabel(t *testing.T) {
 func BenchmarkFabricDeliverTelemetry(b *testing.B) {
 	eng := sim.NewEngine()
 	f := New(eng, machine.XT4(), 64)
-	f.EnableTelemetry()
+	enableTelemetry(f)
 	n := f.Tor.Nodes()
 	msg := Msg{Bytes: 4096, Mode: machine.SN}
 	for s := 0; s < n; s++ {

@@ -2,12 +2,13 @@ package telemetry
 
 import "fmt"
 
-// I/O telemetry: counters for the Lustre checkpoint/IO subsystem, behind
-// the same nil-gated idiom as FabricBytes. The lustre filesystem holds one
-// *IOStats pointer; with telemetry off every instrumented transfer path
-// pays a single nil check and allocates nothing. The report side
-// (IOReport) is assembled by lustre.FS.TelemetryReport at export time from
-// these counters plus the filesystem's own resource state.
+// I/O telemetry: counters for the Lustre checkpoint/IO subsystem. They
+// ride on the engine's reservation probe (timeline.Probe), which the
+// lustre filesystem holds as its one observer pointer; with telemetry off
+// every instrumented transfer path pays a single nil check and allocates
+// nothing. The report side (IOReport) is assembled by
+// lustre.FS.TelemetryReport at export time from these counters plus the
+// filesystem's own resource state.
 
 // IOHistBuckets is the bucket count of the client write-time histogram:
 // bucket 0 holds writes under 1 µs, bucket i holds [2^(i-1), 2^i) µs, and
@@ -27,9 +28,9 @@ func IOHistBucket(seconds float64) int {
 	return IOHistBuckets - 1
 }
 
-// IOHistUpperSeconds returns bucket i's exclusive upper bound in seconds;
-// the last bucket returns +Inf semantics as a negative sentinel is avoided
-// by reporting only populated buckets with their bounds.
+// IOHistUpperSeconds returns bucket i's exclusive upper bound in seconds,
+// 2^i µs. The last bucket is unbounded, so its value here is not a real
+// bound; IOReport exports it as le_seconds 0.
 func IOHistUpperSeconds(i int) float64 {
 	upper := 1e-6
 	for ; i > 0; i-- {

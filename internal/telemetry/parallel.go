@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -68,30 +67,5 @@ func (r *ParallelReport) WriteJSON(w io.Writer) error {
 	}
 	buf = append(buf, '\n')
 	_, err = w.Write(buf)
-	return err
-}
-
-// WriteProm writes the report as Prometheus-style text exposition in fixed
-// program order. Deterministic after StripWallClock (the stall samples are
-// emitted either way, as zeros after stripping).
-func (r *ParallelReport) WriteProm(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# xtsim parallel scheduler (schema %d; windows per domain; deterministic export after StripWallClock)\n", r.SchemaVersion)
-	p("xtsim_parallel_lookahead_seconds %s\n", g(r.LookaheadSeconds))
-	p("xtsim_parallel_foreign_hops %d\n", r.ForeignHops)
-	for _, d := range r.Domains {
-		labels := fmt.Sprintf("domain=\"%d\"", d.Domain)
-		p("xtsim_parallel_windows{%s} %d\n", labels, d.Windows)
-		p("xtsim_parallel_events{%s} %d\n", labels, d.Events)
-		p("xtsim_parallel_posts_out{%s} %d\n", labels, d.PostsOut)
-		p("xtsim_parallel_posts_in{%s} %d\n", labels, d.PostsIn)
-		p("xtsim_parallel_msgs_delivered{%s} %d\n", labels, d.MsgsDelivered)
-		p("xtsim_parallel_barrier_stall_seconds{%s} %s\n", labels, g(d.BarrierStallSeconds))
-	}
 	return err
 }

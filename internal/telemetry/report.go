@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // LinkHot is one entry of the busiest-links list.
@@ -105,75 +104,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	}
 	buf = append(buf, '\n')
 	_, err = w.Write(buf)
-	return err
-}
-
-// G formats a float the way deterministic text exports need: shortest
-// round-trip representation, identical bytes for an identical value.
-// Shared with the critical-path export.
-func G(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// g is G's historical internal name.
-func g(v float64) string { return G(v) }
-
-// WriteProm writes the report as Prometheus-style text exposition: one
-// sample per line, emitted in a fixed program order (classes, then
-// dimensions, then communicators sorted by id).
-func (r *Report) WriteProm(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# xtsim telemetry (schema %d; simulated seconds; deterministic export)\n", r.SchemaVersion)
-	p("xtsim_horizon_seconds %s\n", g(r.HorizonSeconds))
-	if f := r.Fabric; f != nil {
-		p("xtsim_fabric_msgs_delivered %d\n", f.MsgsDelivered)
-		p("xtsim_fabric_bytes_delivered %d\n", f.BytesDelivered)
-		p("xtsim_fabric_local_bytes %d\n", f.LocalBytes)
-		p("xtsim_fabric_hop_bytes %d\n", f.HopBytes)
-		emit := func(labels string, c ClassSummary) {
-			p("xtsim_fabric_busy_seconds{%s} %s\n", labels, g(c.BusySeconds))
-			p("xtsim_fabric_wait_seconds{%s} %s\n", labels, g(c.WaitSeconds))
-			p("xtsim_fabric_bytes{%s} %d\n", labels, c.Bytes)
-			p("xtsim_fabric_reservations{%s} %d\n", labels, c.Reservations)
-			p("xtsim_fabric_mean_utilization{%s} %s\n", labels, g(c.MeanUtilization))
-			p("xtsim_fabric_max_utilization{%s} %s\n", labels, g(c.MaxUtilization))
-		}
-		for _, c := range f.Classes {
-			emit(fmt.Sprintf("class=%q", c.Class), c)
-		}
-		for _, d := range f.Dims {
-			emit(fmt.Sprintf("class=\"link\",dim=%q", d.Class), d)
-		}
-	}
-	if m := r.MPI; m != nil {
-		for _, c := range m.Comms {
-			for _, op := range c.Ops {
-				labels := fmt.Sprintf("comm=\"%d\",size=\"%d\",op=%q", c.ID, c.Size, op.Op)
-				p("xtsim_mpi_op_calls{%s} %d\n", labels, op.Calls)
-				p("xtsim_mpi_op_seconds{%s} %s\n", labels, g(op.Seconds))
-				p("xtsim_mpi_op_msgs{%s} %d\n", labels, op.Msgs)
-				p("xtsim_mpi_op_bytes{%s} %d\n", labels, op.Bytes)
-			}
-		}
-	}
-	if io := r.IO; io != nil {
-		p("xtsim_io_osts %d\n", io.OSTs)
-		p("xtsim_io_mds_ops %d\n", io.MDSOps)
-		p("xtsim_io_mds_busy_seconds %s\n", g(io.MDSBusySeconds))
-		p("xtsim_io_mds_utilization %s\n", g(io.MDSUtilization))
-		p("xtsim_io_client_bytes{dir=\"write\"} %d\n", io.ClientBytesWritten)
-		p("xtsim_io_client_bytes{dir=\"read\"} %d\n", io.ClientBytesRead)
-		p("xtsim_io_ost_mean_utilization %s\n", g(io.OSTMeanUtilization))
-		p("xtsim_io_ost_max_utilization %s\n", g(io.OSTMaxUtilization))
-		p("xtsim_io_write_count %d\n", io.WriteCount)
-		p("xtsim_io_write_seconds %s\n", g(io.WriteSeconds))
-		for _, cell := range io.WriteHist {
-			p("xtsim_io_write_hist{le_seconds=%q} %d\n", g(cell.LeSeconds), cell.Count)
-		}
-	}
 	return err
 }
 

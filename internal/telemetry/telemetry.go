@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's opt-in observability layer:
-// per-resource utilization counters accumulated on the fabric's reservation
-// hot paths, per-communicator MPI operation statistics, and deterministic
-// exports — a JSON document, a Prometheus-style text rendering, and a text
-// congestion heatmap over the torus.
+// per-resource utilization reports over the counters the engine's
+// reservation probe (timeline.Probe) accumulates, per-communicator MPI
+// operation statistics, and deterministic exports — a JSON document and a
+// text congestion heatmap over the torus.
 //
 // The paper's conclusions are balance arguments (NIC injection bandwidth,
 // VN-mode NIC sharing, per-link occupancy); this package is what lets an
@@ -12,77 +12,30 @@
 // Design invariants (DESIGN.md §4e):
 //
 //   - Zero cost when disabled. Instrumented packages hold a single
-//     nil-gated pointer (exactly like network.Fabric's derate slice); with
-//     telemetry off the hot paths pay one nil check and allocate nothing.
+//     nil-gated pointer (the probe, or the MPI collector); with telemetry
+//     off the hot paths pay one nil check and allocate nothing.
 //   - Deterministic exports. The simulator is deterministic, and every
 //     rendering here iterates slices or sorts keys — never a bare map — so
 //     running the same experiment twice yields byte-identical output.
 //   - Counter semantics. Busy seconds and reservation counts come from the
 //     sim.FIFOResource being observed (pre-existing fields, no added hot-path
-//     work); queue-wait seconds, payload bytes, per-op message histograms and
-//     time-series injection samples accumulate here, inside the same nil
-//     gate, so the telemetry-off reservation path is untouched.
+//     work); queue-wait seconds and payload bytes accumulate in the probe,
+//     and per-op message histograms and time-series injection samples
+//     here, each behind its one nil gate, so the telemetry-off hot paths
+//     are untouched.
 package telemetry
 
-// SchemaVersion identifies the telemetry report layout (JSON and text);
+// SchemaVersion identifies the telemetry report layout (JSON);
 // bump on incompatible changes. EXPERIMENTS.md documents the schema.
 const SchemaVersion = 1
 
-// Set is the collection point for one simulated system run. core.System
-// owns one when telemetry is enabled; the fabric and the MPI runtime attach
-// their collectors to it as they come up.
+// Set is the MPI side of one simulated system's telemetry. core.System owns
+// one when telemetry is enabled, and mpi.NewWorld attaches its collector.
+// The fabric's and the filesystem's per-resource counters live in the
+// engine's reservation probe (timeline.Probe).
 type Set struct {
-	// Fabric holds the fabric's hot-path byte counters (installed by
-	// network.Fabric.EnableTelemetry).
-	Fabric *FabricBytes
-	// MPI holds the MPI runtime's per-communicator statistics (attached by
-	// mpi.NewWorld when it finds telemetry enabled on the system).
+	// MPI holds the MPI runtime's per-communicator statistics.
 	MPI *MPIStats
-	// IO holds the Lustre filesystem's I/O counters (attached by
-	// lustre.FS.EnableTelemetry, typically via lustre.Attach).
-	IO *IOStats
-}
-
-// FabricBytes holds the fabric's hot-path byte and queue-wait counters: one
-// slot per resource, indexed exactly like the fabric's own resource slices
-// (links by dense link id, the NIC and VN-proxy classes by node id). The
-// fabric accumulates into these inside one nil gate per reservation site;
-// busy seconds and reservation counts live on the reserved sim.FIFOResource
-// itself. Wait is computed at the call site from Reserve's contract
-// (actual start − requested time), so the resource type carries no
-// telemetry-only fields.
-type FabricBytes struct {
-	Link    []int64 // payload bytes serialised through each directed link
-	NICTx   []int64 // payload bytes injected at each node
-	NICRx   []int64 // payload bytes ejected at each node (flat fabrics)
-	VNProxy []int64 // payload bytes mediated by each node's handling core
-
-	LinkWait    []float64 // queue-wait seconds per directed link
-	NICTxWait   []float64 // queue-wait seconds per injection port
-	NICRxWait   []float64 // queue-wait seconds per ejection port
-	VNProxyWait []float64 // queue-wait seconds per handling core
-
-	// Local counts same-node (memcpy) payload bytes, which never touch the
-	// NIC; Local + the NICTx total must equal the fabric's BytesDelivered.
-	Local int64
-	// Hop accumulates bytes × route-hops per remote message; the per-link
-	// byte counters must sum to exactly this (the conservation check).
-	Hop int64
-}
-
-// NewFabricBytes sizes the counter slices for a fabric with the given
-// number of directed links and nodes.
-func NewFabricBytes(links, nodes int) *FabricBytes {
-	return &FabricBytes{
-		Link:        make([]int64, links),
-		NICTx:       make([]int64, nodes),
-		NICRx:       make([]int64, nodes),
-		VNProxy:     make([]int64, nodes),
-		LinkWait:    make([]float64, links),
-		NICTxWait:   make([]float64, nodes),
-		NICRxWait:   make([]float64, nodes),
-		VNProxyWait: make([]float64, nodes),
-	}
 }
 
 // ClassSummary aggregates the counters of one resource class (all torus
@@ -151,18 +104,15 @@ func (a *ClassAgg) MaxIndex() int { return a.maxIdx }
 func (a *ClassAgg) Summary() ClassSummary {
 	s := a.s
 	if a.horizon > 0 && s.Resources > 0 {
-		s.MeanUtilization = roundUtil(s.BusySeconds / (float64(s.Resources) * a.horizon))
-		s.MaxUtilization = roundUtil(a.maxBusy / a.horizon)
+		s.MeanUtilization = Round6(s.BusySeconds / (float64(s.Resources) * a.horizon))
+		s.MaxUtilization = Round6(a.maxBusy / a.horizon)
 	}
 	return s
 }
 
 // Round6 fixes fractions (utilizations, shares) to 1e-6 resolution so
 // exported values are compact and their formatting is stable. Shared by
-// the telemetry, MPI-profile and critical-path exports.
+// the telemetry, MPI-profile, critical-path and timeline exports.
 func Round6(v float64) float64 {
 	return float64(int64(v*1e6+0.5)) / 1e6
 }
-
-// roundUtil is Round6's historical internal name.
-func roundUtil(v float64) float64 { return Round6(v) }

@@ -37,11 +37,11 @@ func TestClassAggEmptyAndZeroHorizon(t *testing.T) {
 }
 
 func TestRoundUtil(t *testing.T) {
-	if got := roundUtil(0.1234567); got != 0.123457 {
-		t.Fatalf("roundUtil = %v", got)
+	if got := Round6(0.1234567); got != 0.123457 {
+		t.Fatalf("Round6 = %v", got)
 	}
-	if got := roundUtil(1.0); got != 1.0 {
-		t.Fatalf("roundUtil(1) = %v", got)
+	if got := Round6(1.0); got != 1.0 {
+		t.Fatalf("Round6(1) = %v", got)
 	}
 }
 
@@ -267,7 +267,7 @@ func buildReport() *Report {
 }
 
 func TestExportsAreDeterministic(t *testing.T) {
-	var j1, j2, p1, p2 bytes.Buffer
+	var j1, j2 bytes.Buffer
 	if err := buildReport().WriteJSON(&j1); err != nil {
 		t.Fatal(err)
 	}
@@ -277,22 +277,14 @@ func TestExportsAreDeterministic(t *testing.T) {
 	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
 		t.Fatal("JSON export is not byte-identical across identical runs")
 	}
-	if err := buildReport().WriteProm(&p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildReport().WriteProm(&p2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p1.Bytes(), p2.Bytes()) {
-		t.Fatal("Prometheus export is not byte-identical across identical runs")
-	}
 	for _, want := range []string{
-		"xtsim_horizon_seconds 1.25",
-		`xtsim_fabric_bytes{class="link"} 128`,
-		`xtsim_mpi_op_calls{comm="1",size="4",op="Allreduce"} 1`,
+		`"horizon_seconds": 1.25`,
+		`"class": "link",`,
+		`"hop_bytes": 128`,
+		`"op": "Allreduce"`,
 	} {
-		if !strings.Contains(p1.String(), want) {
-			t.Errorf("Prometheus export missing %q:\n%s", want, p1.String())
+		if !strings.Contains(j1.String(), want) {
+			t.Errorf("JSON export missing %q:\n%s", want, j1.String())
 		}
 	}
 }

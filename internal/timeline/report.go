@@ -2,16 +2,14 @@ package timeline
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
-	"xtsim/internal/trace"
+	"xtsim/internal/telemetry"
 )
 
-// SchemaVersion identifies the timeline report layout (JSON, Prometheus
-// text and the Chrome span export); bump on incompatible changes.
+// SchemaVersion identifies the timeline report layout (JSON and the Chrome
+// span export); bump on incompatible changes.
 // EXPERIMENTS.md documents the schema.
 const SchemaVersion = 1
 
@@ -148,7 +146,7 @@ func (r *Recorder) Report(horizon float64) *Report {
 				Count:       b.count,
 			}
 			if n := r.resources[cl]; n > 0 {
-				p.Utilization = round6(float64(b.busy) / (float64(n) * float64(w)))
+				p.Utilization = telemetry.Round6(float64(b.busy) / (float64(n) * float64(w)))
 			}
 			points = append(points, p)
 		}
@@ -305,19 +303,13 @@ func iterBreakdown(spans []Span, c *Collector, w int64) []IterPhase {
 			Spans:              len(g),
 			SpanSeconds:        float64(spanNs) / 1e9,
 			WindowSeconds:      float64(windowNs) / 1e9,
-			LinkBusySeconds:    round6(busy[Link] / 1e9),
-			NICBusySeconds:     round6(busy[NIC] / 1e9),
-			VNProxyBusySeconds: round6(busy[VNProxy] / 1e9),
-			OSTBusySeconds:     round6(busy[OST] / 1e9),
+			LinkBusySeconds:    telemetry.Round6(busy[Link] / 1e9),
+			NICBusySeconds:     telemetry.Round6(busy[NIC] / 1e9),
+			VNProxyBusySeconds: telemetry.Round6(busy[VNProxy] / 1e9),
+			OSTBusySeconds:     telemetry.Round6(busy[OST] / 1e9),
 		})
 	}
 	return out
-}
-
-// round6 fixes fractions to 1e-6 resolution (the telemetry convention), so
-// exported shares stay compact and stable.
-func round6(v float64) float64 {
-	return float64(int64(v*1e6+0.5)) / 1e6
 }
 
 // WriteJSON writes the report as indented JSON. Deterministic: struct
@@ -333,53 +325,39 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// g formats floats the Prometheus way (shortest round-trip form).
-func g(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// chromeEvent is one entry of the Chrome trace-event format ("X" complete
+// events; timestamps in microseconds).
+type chromeEvent struct {
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Dur  float64 `json:"dur"`
+	Pid  int     `json:"pid"`
+	Tid  int     `json:"tid"`
 }
 
-// WriteProm writes the report as Prometheus-style text exposition in fixed
-// program order.
-func (r *Report) WriteProm(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# xtsim timeline (schema %d; binned busy/wait seconds per resource class)\n", r.SchemaVersion)
-	p("xtsim_timeline_horizon_seconds %s\n", g(r.HorizonSeconds))
-	p("xtsim_timeline_bin_seconds %s\n", g(r.BinSeconds))
-	p("xtsim_timeline_spans %d\n", r.Spans)
-	p("xtsim_timeline_dropped_spans %d\n", r.DroppedSpans)
-	for _, cs := range r.Classes {
-		for _, b := range cs.Bins {
-			labels := fmt.Sprintf("class=%q,t=%q", cs.Class, g(b.T))
-			p("xtsim_timeline_busy_seconds{%s} %s\n", labels, g(b.BusySeconds))
-			p("xtsim_timeline_wait_seconds{%s} %s\n", labels, g(b.WaitSeconds))
-			p("xtsim_timeline_reservations{%s} %d\n", labels, b.Count)
-		}
-	}
-	for _, ip := range r.Iterations {
-		labels := fmt.Sprintf("iter=\"%d\",phase=%q", ip.Iter, ip.Phase)
-		p("xtsim_timeline_phase_span_seconds{%s} %s\n", labels, g(ip.SpanSeconds))
-		p("xtsim_timeline_phase_window_seconds{%s} %s\n", labels, g(ip.WindowSeconds))
-		p("xtsim_timeline_phase_link_busy_seconds{%s} %s\n", labels, g(ip.LinkBusySeconds))
-	}
-	return err
-}
-
-// WriteChromeTrace emits every recorded phase span (all ranks) in the
-// Chrome trace-event format via the shared trace exporter.
+// WriteChromeTrace emits every recorded phase span (all ranks) as a Chrome
+// trace-event JSON array ("X" complete events, ranks as threads of one
+// process, ordered by rank then start), which chrome://tracing and
+// Perfetto open directly.
 func (r *Report) WriteChromeTrace(w io.Writer) error {
-	spans := make([]trace.Span, 0, len(r.all))
+	events := make([]chromeEvent, 0, len(r.all))
 	for _, s := range r.all {
-		spans = append(spans, trace.Span{
-			Rank:  int(s.Rank),
-			Name:  s.Name,
-			Start: float64(s.StartNs) / 1e9,
-			End:   float64(s.EndNs) / 1e9,
+		start, end := float64(s.StartNs)/1e9, float64(s.EndNs)/1e9
+		events = append(events, chromeEvent{
+			Name: s.Name,
+			Ph:   "X",
+			Ts:   start * 1e6,
+			Dur:  (end - start) * 1e6,
+			Pid:  1,
+			Tid:  int(s.Rank),
 		})
 	}
-	return trace.WriteSpans(w, spans)
+	sort.SliceStable(events, func(i, j int) bool {
+		if events[i].Tid != events[j].Tid {
+			return events[i].Tid < events[j].Tid
+		}
+		return events[i].Ts < events[j].Ts
+	})
+	return json.NewEncoder(w).Encode(events)
 }

@@ -3,7 +3,9 @@
 // injection ports, VN-mode handling cores, Lustre OSTs) into fixed
 // simulated-time bins and records application-emitted phase spans
 // (compute / halo / collective / ckpt), then joins the two into
-// per-iteration, per-phase resource breakdowns at export time.
+// per-iteration, per-phase resource breakdowns at export time. It also
+// hosts the Probe, the one reservation observer that feeds these bins,
+// telemetry's per-resource counters and the critical-path edge stages.
 //
 // Where the telemetry package answers "how much, in total", this package
 // answers "when": the paper's findings — CAM/POP load imbalance (§6), the
@@ -14,8 +16,8 @@
 // Design invariants (DESIGN.md §4k):
 //
 //   - Zero cost when disabled: instrumented packages hold one nil-gated
-//     pointer; off, every hot path pays a single nil check and allocates
-//     nothing (pinned by TestSendRecvZeroAllocsWithTimelineOff).
+//     Probe; off, every reservation site pays a single nil check and
+//     allocates nothing (pinned by TestSendRecvZeroAllocsWithTimelineOff).
 //
 //   - Integer-exact accumulation: sample endpoints are converted once to
 //     integer nanoseconds on a fixed grid; each bin accumulates exact
@@ -232,9 +234,6 @@ func (r *Recorder) SetResources(cl Class, n int) { r.resources[cl] = n }
 
 // Dom returns domain i's collector.
 func (r *Recorder) Dom(i int) *Collector { return r.doms[i] }
-
-// Collectors returns the per-domain collectors (length 1 in serial shape).
-func (r *Recorder) Collectors() []*Collector { return r.doms }
 
 // Shard reshapes the recorder for n scheduling domains. Existing samples
 // (normally none — sharding is decided before traffic) stay in domain 0.

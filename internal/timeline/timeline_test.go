@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -152,7 +153,45 @@ func TestSpanCapPerRank(t *testing.T) {
 	}
 }
 
-// TestReportDeterministic pins run-twice byte identity of all three exports.
+// TestCapDropsExcess checks the cap end to end on a sharded recorder: the
+// folded report keeps the first maxSpansPerRank spans of the capped rank,
+// counts the rest in DroppedSpans, and the Chrome export carries exactly
+// the kept spans.
+func TestCapDropsExcess(t *testing.T) {
+	r := NewRecorder(2)
+	r.Shard(2)
+	for i := 0; i < maxSpansPerRank+5; i++ {
+		r.Span(i%2, 0, "compute", i, float64(i), float64(i)+0.5)
+	}
+	for i := 0; i < 3; i++ {
+		r.Span(1, 1, "halo", i, float64(i), float64(i)+0.25)
+	}
+	rep := r.Report(float64(maxSpansPerRank + 5))
+	if rep.Spans != maxSpansPerRank+3 || rep.DroppedSpans != 5 {
+		t.Fatalf("spans %d dropped %d, want %d and 5", rep.Spans, rep.DroppedSpans, maxSpansPerRank+3)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Ts  float64
+		Tid int
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != rep.Spans {
+		t.Fatalf("Chrome events = %d, want %d", len(events), rep.Spans)
+	}
+	for _, e := range events {
+		if e.Tid == 0 && e.Ts >= float64(maxSpansPerRank)*1e6 {
+			t.Fatalf("span past the cap exported: %+v", e)
+		}
+	}
+}
+
+// TestReportDeterministic pins run-twice byte identity of both exports.
 func TestReportDeterministic(t *testing.T) {
 	build := func() *Recorder {
 		r := NewRecorder(3)
@@ -171,7 +210,6 @@ func TestReportDeterministic(t *testing.T) {
 		write func(*Report, *bytes.Buffer) error
 	}{
 		{"json", func(rep *Report, b *bytes.Buffer) error { return rep.WriteJSON(b) }},
-		{"prom", func(rep *Report, b *bytes.Buffer) error { return rep.WriteProm(b) }},
 		{"chrome", func(rep *Report, b *bytes.Buffer) error { return rep.WriteChromeTrace(b) }},
 	} {
 		var b1, b2 bytes.Buffer
@@ -267,4 +305,51 @@ func TestToNsGrid(t *testing.T) {
 func ExampleClassName() {
 	fmt.Println(ClassName(Link), ClassName(OST))
 	// Output: link ost
+}
+
+// chromeSample is a two-rank report whose spans arrive out of rank order.
+func chromeSample() *Report {
+	r := NewRecorder(2)
+	r.Span(0, 1, "compute", 0, 0.5, 1.0)
+	r.Span(0, 0, "Recv", 0, 0, 0.25)
+	return r.Report(1)
+}
+
+func TestChromeTraceIsValidJSON(t *testing.T) {
+	var buf bytes.Buffer
+	if err := chromeSample().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
+	}
+	if len(events) != 2 {
+		t.Fatalf("events = %d", len(events))
+	}
+	// Sorted by tid then ts: rank 0 first.
+	if events[0]["tid"].(float64) != 0 {
+		t.Fatalf("events not sorted by rank: %v", events)
+	}
+	if events[0]["ph"] != "X" {
+		t.Fatalf("wrong phase: %v", events[0])
+	}
+	// Microsecond conversion.
+	if events[1]["ts"].(float64) != 0.5e6 {
+		t.Fatalf("timestamp not in µs: %v", events[1])
+	}
+}
+
+// TestChromeTraceGoldenBytes pins the exact export bytes: the format is a
+// published interchange format and the trace is advertised as a
+// deterministic artifact, so any byte change is a compatibility event.
+func TestChromeTraceGoldenBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := chromeSample().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"name":"Recv","ph":"X","ts":0,"dur":250000,"pid":1,"tid":0},{"name":"compute","ph":"X","ts":500000,"dur":500000,"pid":1,"tid":1}]` + "\n"
+	if buf.String() != want {
+		t.Fatalf("Chrome trace bytes changed:\n got: %q\nwant: %q", buf.String(), want)
+	}
 }

@@ -12,7 +12,6 @@ import (
 	"xtsim/internal/expt"
 	"xtsim/internal/machine"
 	"xtsim/internal/mpi"
-	"xtsim/internal/trace"
 )
 
 // Machine is a complete hardware description (Table 1 parameters plus the
@@ -60,12 +59,6 @@ type Work = core.Work
 
 // Rank is one task's execution context (placement + compute model).
 type Rank = core.Rank
-
-// Tracer receives activity spans; trace.Recorder implements it.
-type Tracer = core.Tracer
-
-// Recorder records per-rank activity spans and exports Chrome trace JSON.
-type Recorder = trace.Recorder
 
 // NewSystem builds a system for nTasks MPI tasks on machine m in the
 // given mode.

@@ -9,10 +9,9 @@ import (
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	// The three-call happy path from the README, through the facade only.
-	sys := xtsim.NewSystem(xtsim.XT4(), xtsim.VN, 8)
-	var rec xtsim.Recorder
-	sys.Tracer = &rec
+	// The three-call happy path from the README, through the facade only,
+	// with the timeline flight recorder on.
+	sys := xtsim.NewSystem(xtsim.XT4(), xtsim.VN, 8).EnableTimeline()
 	elapsed := xtsim.RunMPI(sys, xtsim.Auto, func(p *xtsim.P) {
 		p.Compute(xtsim.Work{Flops: 1e7, StreamBytes: 1e6})
 		res := p.Allreduce(xtsim.Sum, 8, []float64{1})
@@ -23,8 +22,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if elapsed <= 0 {
 		t.Fatal("no simulated time elapsed")
 	}
-	if rec.Len() == 0 {
-		t.Fatal("tracer captured nothing")
+	if rep := sys.TimelineReport(elapsed); rep.Spans == 0 {
+		t.Fatal("timeline captured no spans")
 	}
 }
 
