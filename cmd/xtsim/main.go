@@ -59,7 +59,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
 	tel := flag.Bool("telemetry", false, "attach the telemetry JSON export to experiments that collect it (e.g. congestion)")
 	cp := flag.Bool("critpath", false, "attach the critical-path JSON exports to experiments that record causal graphs (e.g. critpath)")
-	hybrid := flag.String("hybrid", "", "hybrid rank fast path: 'exact' or 'analytic' to request that tier on supporting experiments, 'off' to force the event-driven engine everywhere, empty for per-experiment defaults (output is byte-identical for 'exact')")
+	hybrid := flag.String("hybrid", "", "hybrid rank fast path: 'exact' requests the bit-identical tier on ext-petascale and fig8-11 (output unchanged), 'analytic' the closed-form tier on ext-petascale only, 'off' forces the event-driven engine everywhere, empty keeps per-experiment defaults")
 	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint cadence in steps for checkpoint-aware experiments (ext-ckpt); 0 keeps each experiment's default")
 	tline := flag.Bool("timeline", false, "attach the phase-resolved timeline JSON export to experiments that record it (e.g. ext-timeline)")
 	serveAddr := flag.String("serve", "", "run as a campaign server on this address (e.g. 127.0.0.1:8973); see API.md")

@@ -41,8 +41,8 @@
 //     AORSA — Figures 14-23). internal/lustre models the filesystem.
 //   - internal/telemetry, internal/critpath and internal/timeline are the
 //     opt-in observers (System.EnableTelemetry, EnableCritPath,
-//     EnableTimeline). One reservation probe per engine domain
-//     (timeline.Probe) feeds all three from the fabric and the filesystem.
+//     EnableTimeline). One probe per engine domain (timeline.Probe) feeds
+//     all three from the fabric, the filesystem and the MPI runtime.
 //   - internal/expt is the campaign layer: one registered Experiment per
 //     table/figure/ablation, each producing a structured Result, plus the
 //     concurrent Runner with deterministic ordered output, a

@@ -60,11 +60,11 @@ func init() {
 		{sharded | hybridExact, "VN placement queues on the shared NIC proxy core", (*System).vnProxied},
 		// Observers aggregate on the serial ledger and MPI world; hybrid ranks
 		// produce no per-event records at all.
-		{fastPaths, "telemetry aggregation needs the serial event schedule", func(s *System) bool { return s.Tel != nil }},
-		{fastPaths, "critical-path recording needs the serial event schedule", func(s *System) bool { return s.CP != nil }},
+		{fastPaths, "telemetry aggregation needs the serial event schedule", func(s *System) bool { return s.tel }},
+		{fastPaths, "critical-path recording needs the serial event schedule", func(s *System) bool { return s.cp != nil }},
 		// The recorder composes with the sharded scheduler: each domain ledger
 		// samples into its own collector.
-		{hybrid, "timeline recording needs per-event reservation records", func(s *System) bool { return s.Tl != nil }},
+		{hybrid, "timeline recording needs per-event reservation records", func(s *System) bool { return s.tl != nil }},
 		{fastPaths, "noise RNG is a shared sequential stream", func(s *System) bool { return s.NoiseAmp > 0 }},
 		{fastPaths, "I/O subsystem resources (MDS, OSS/OST) are engine-global shared state", func(s *System) bool { return s.io != nil }},
 		{sharded, "torus has a single plane on the slab axis", func(s *System) bool {
@@ -105,11 +105,12 @@ func (s *System) vnProxied() bool {
 // first call decides; mpi.Run calls it with globalColl set when its
 // collectives meet at engine-global points, and mpi.NewWorld and Run call
 // it with globalColl false. Each declined request is counted in the
-// fallback ledger. Once the engine is fixed, Plan installs one reservation
-// probe per engine domain (timeline.Probe) into the fabric's ledgers and
-// any attached filesystem. Later calls re-check the planned engine against
-// the table and panic when configuration made after planning (NoiseAmp, a
-// degraded link, analytic collectives) now blocks it.
+// fallback ledger. Once the engine is fixed, Plan installs one probe per
+// engine domain (timeline.Probe) into the fabric's ledgers, whence the
+// MPI runtime takes it, and into any attached filesystem. Later calls
+// re-check the planned engine against the table and panic when
+// configuration made after planning (NoiseAmp, a degraded link, analytic
+// collectives) now blocks it.
 func (s *System) Plan(globalColl bool) {
 	s.globalColl = s.globalColl || globalColl
 	if s.planned {
@@ -136,12 +137,12 @@ func (s *System) Plan(globalColl bool) {
 			s.hybTier = HybridTier(e)
 		}
 	}
-	if s.Tl != nil {
-		s.Tl.SetResources(timeline.Link, s.Fabric.NumLinks())
-		s.Tl.SetResources(timeline.NIC, s.Fabric.Tor.Nodes())
-		s.Tl.SetResources(timeline.VNProxy, s.Fabric.Tor.Nodes())
+	if s.tl != nil {
+		s.tl.SetResources(timeline.Link, s.Fabric.NumLinks())
+		s.tl.SetResources(timeline.NIC, s.Fabric.Tor.Nodes())
+		s.tl.SetResources(timeline.VNProxy, s.Fabric.Tor.Nodes())
 		if s.io != nil {
-			s.Tl.SetResources(timeline.OST, s.io.OSTs())
+			s.tl.SetResources(timeline.OST, s.io.OSTs())
 		}
 	}
 	if s.par != nil {
@@ -150,27 +151,27 @@ func (s *System) Plan(globalColl bool) {
 	p := s.probe(0)
 	s.Fabric.InstallProbe(p)
 	if s.io != nil && p != nil {
-		if s.Tel != nil {
+		if s.tel {
 			p.IO = telemetry.NewIOStats(s.io.OSTs())
 		}
 		s.io.InstallProbe(p)
 	}
 }
 
-// probe builds engine domain dom's reservation probe, or nil while no
-// observer is on. Telemetry and critical-path recording keep a run on the
+// probe builds engine domain dom's probe, or nil while no observer is
+// on. Telemetry and critical-path recording keep a run on the
 // serial engine, so on the sharded one the probes only sample the
 // timeline.
 func (s *System) probe(dom int) *timeline.Probe {
-	if s.Tel == nil && s.CP == nil && s.Tl == nil {
+	if !s.tel && s.cp == nil && s.tl == nil {
 		return nil
 	}
 	var bins *timeline.Collector
-	if s.Tl != nil {
-		bins = s.Tl.Dom(dom)
+	if s.tl != nil {
+		bins = s.tl.Dom(dom)
 	}
-	p := timeline.NewProbe(bins, s.CP)
-	if s.Tel != nil {
+	p := timeline.NewProbe(bins, s.cp)
+	if s.tel {
 		p.Count(s.Fabric.NumLinks(), s.Fabric.Tor.Nodes())
 	}
 	return p
@@ -192,8 +193,8 @@ func (s *System) buildSharded() {
 	part := torus.NewPartition(s.Fabric.Tor, s.shards)
 	sh := sim.NewSharded(part.NumDomains(), network.Lookahead(s.M))
 	probes := make([]*timeline.Probe, part.NumDomains())
-	if s.Tl != nil {
-		s.Tl.Shard(len(probes))
+	if s.tl != nil {
+		s.tl.Shard(len(probes))
 	}
 	for i := range probes {
 		probes[i] = s.probe(i)

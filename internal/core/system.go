@@ -60,19 +60,17 @@ type System struct {
 	// exists for the full-Linux counterfactual ablation. It constrains the
 	// engine, so set it before mpi.NewWorld/Run.
 	NoiseAmp float64
-	// Tel, CP and Tl are the observers' requests and state, nil until
-	// EnableTelemetry, EnableCritPath and EnableTimeline: the MPI side of
-	// telemetry, the critical-path recorder and the timeline flight
-	// recorder. Plan turns them into one reservation probe per engine
-	// domain (timeline.Probe) for the fabric and any attached filesystem,
-	// and mpi.NewWorld attaches the MPI side; with all three nil every
-	// instrumented hot path pays one nil check and nothing else. Only the
-	// timeline composes with the sharded scheduler: each domain samples
-	// into its own collector and Run folds them deterministically after
-	// the terminal window barrier (DESIGN.md §4k).
-	Tel *telemetry.Set
-	CP  *critpath.Recorder
-	Tl  *timeline.Recorder
+	// tel, cp and tl are the observers' requests and state, set by
+	// EnableTelemetry, EnableCritPath and EnableTimeline. Plan turns them
+	// into one probe per engine domain (timeline.Probe) that the fabric,
+	// any attached filesystem and the MPI runtime record through; with all
+	// three off every instrumented hot path pays one nil check and nothing
+	// else. Only the timeline composes with the sharded scheduler: each
+	// domain samples into its own collector and Run folds them
+	// deterministically after the terminal window barrier (DESIGN.md §4k).
+	tel bool
+	cp  *critpath.Recorder
+	tl  *timeline.Recorder
 	// Rng drives noise; owned by the experiment for reproducibility.
 	Rng *rand.Rand
 
@@ -166,20 +164,18 @@ func NewSystemSIO(m machine.Machine, mode machine.Mode, nTasks, sioNodes int) *S
 
 // EnableTelemetry requests the observability layer for this system: the
 // engine plan installs the fabric's and filesystem's byte counters, and
-// the MPI statistics come up with the World. Idempotent; call before
-// mpi.NewWorld/Run. Returns the system for chaining.
+// each World's MPI statistics come up in the probe with it. Idempotent;
+// call before mpi.NewWorld/Run. Returns the system for chaining.
 func (s *System) EnableTelemetry() *System {
 	s.configure("EnableTelemetry")
-	if s.Tel == nil {
-		s.Tel = &telemetry.Set{}
-	}
+	s.tel = true
 	return s
 }
 
-// TelemetryReport assembles the system's telemetry over [0, now]; nil
-// unless EnableTelemetry was called.
+// TelemetryReport assembles the system's telemetry over [0, now], with the
+// MPI section of the latest World; nil unless EnableTelemetry was called.
 func (s *System) TelemetryReport() *telemetry.Report {
-	if s.Tel == nil {
+	if !s.tel {
 		return nil
 	}
 	horizon := s.Eng.Now()
@@ -187,7 +183,7 @@ func (s *System) TelemetryReport() *telemetry.Report {
 		SchemaVersion:  telemetry.SchemaVersion,
 		HorizonSeconds: horizon,
 		Fabric:         s.Fabric.TelemetryReport(horizon),
-		MPI:            s.Tel.MPI.Report(),
+		MPI:            s.Fabric.Probe(0).MPIReport(),
 	}
 	if s.io != nil {
 		rep.IO = s.io.TelemetryReport(horizon)
@@ -205,8 +201,8 @@ func (s *System) TelemetryReport() *telemetry.Report {
 // chaining.
 func (s *System) EnableTimeline() *System {
 	s.configure("EnableTimeline")
-	if s.Tl == nil {
-		s.Tl = timeline.NewRecorder(s.NumTasks)
+	if s.tl == nil {
+		s.tl = timeline.NewRecorder(s.NumTasks)
 	}
 	return s
 }
@@ -216,22 +212,21 @@ func (s *System) EnableTimeline() *System {
 // unless EnableTimeline was called. horizon is normally the makespan Run
 // returned. Call after Run completes.
 func (s *System) TimelineReport(horizon float64) *timeline.Report {
-	if s.Tl == nil {
+	if s.tl == nil {
 		return nil
 	}
-	return s.Tl.Report(horizon)
+	return s.tl.Report(horizon)
 }
 
-// EnableCritPath requests causal recording for this system: the engine
-// plan has the fabric record happens-before edges, and the MPI runtime
-// records blocked segments when a World is created. Composable with
-// EnableTelemetry. Idempotent; call before mpi.NewWorld/Run. Returns the
-// system for chaining. The recorder uses critpath.DefaultCap; build a
-// critpath.NewRecorder and assign CP directly to choose another cap.
+// EnableCritPath requests causal recording for this system with a
+// critpath.DefaultCap recorder: through the engine plan's probe the fabric
+// records happens-before edges and the MPI runtime's ranks record their
+// blocked segments. Composable with EnableTelemetry. Idempotent; call
+// before mpi.NewWorld/Run. Returns the system for chaining.
 func (s *System) EnableCritPath() *System {
 	s.configure("EnableCritPath")
-	if s.CP == nil {
-		s.CP = critpath.NewRecorder(s.NumTasks, 0)
+	if s.cp == nil {
+		s.cp = critpath.NewRecorder(s.NumTasks, 0)
 	}
 	return s
 }
@@ -250,10 +245,10 @@ func (s *System) AttachIO(io IOSystem) {
 // current simulated time and returns the critical-path attribution; nil
 // unless EnableCritPath was called. Call after Run completes.
 func (s *System) CritPathReport() *critpath.Report {
-	if s.CP == nil {
+	if s.cp == nil {
 		return nil
 	}
-	return s.CP.Analyze(critpath.AnalyzeOptions{
+	return s.cp.Analyze(critpath.AnalyzeOptions{
 		Makespan:  s.Eng.Now(),
 		LinkLabel: s.Fabric.LinkLabel,
 	})
@@ -324,21 +319,21 @@ func (s *System) Run(body func(r *Rank)) sim.Time {
 		s.EngFor(node).Spawn(fmt.Sprintf("rank%d", t), func(p *sim.Proc) {
 			r.Proc = p
 			body(r)
-			if s.CP != nil {
+			if s.cp != nil {
 				// The analyzer starts its backward walk at the
 				// latest-finishing rank and counts trailing idle as slack.
-				s.CP.SetFinish(r.ID, p.Now())
+				s.cp.SetFinish(r.ID, p.Now())
 			}
 		})
 	}
 	if s.par != nil {
 		end := s.par.sh.Run()
 		s.Fabric.FoldParallel()
-		if s.Tl != nil {
+		if s.tl != nil {
 			// Workers have joined (Run returned after the terminal window
 			// barrier), so the per-domain collectors are quiescent; fold
 			// them into the serial shape the exports read.
-			s.Tl.Fold()
+			s.tl.Fold()
 		}
 		return end
 	}

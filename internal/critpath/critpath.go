@@ -12,10 +12,12 @@
 //
 // Design invariants (DESIGN.md §4f):
 //
-//   - Zero cost when disabled. The MPI runtime holds one nil-gated
-//     *Recorder, and the fabric reaches it through its one reservation
-//     probe (timeline.Probe); with the recorder off the hot paths pay a
-//     nil check and allocate nothing.
+//   - Zero cost when disabled. Neither the fabric nor the MPI runtime
+//     holds the *Recorder: both record through their engine domain's one
+//     nil-gated probe (timeline.Probe) — message edges and their stages,
+//     and the ranks' blocked segments, senders and analytic collectives'
+//     last-arrival edges. With the recorder off the hot paths pay a nil
+//     check and allocate nothing.
 //   - Exact decomposition. A message edge's component fields (overhead,
 //     injection wait, injection, link wait, link transit) are accumulated
 //     stage by stage by the probe on the fabric's delivery path so they sum
@@ -154,9 +156,6 @@ func NewRecorder(ranks, cap int) *Recorder {
 	}
 }
 
-// Ranks reports the rank count the recorder was sized for.
-func (r *Recorder) Ranks() int { return len(r.waits) }
-
 // SetClassNames installs the op-class name table used by reports; index i
 // labels waits recorded with Class == i. The MPI runtime attaches its
 // OpClass names here so this package never imports mpi.
@@ -240,9 +239,6 @@ func (r *Recorder) WaitsRecorded() int {
 	}
 	return n
 }
-
-// EdgesRecorded reports the stored edge count.
-func (r *Recorder) EdgesRecorded() int { return len(r.edges) }
 
 // className labels an op class for reports.
 func (r *Recorder) className(class int16) string {

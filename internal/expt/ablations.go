@@ -65,7 +65,7 @@ func runAblationColl(res *Result, o Options) error {
 	}
 	for _, n := range sizes {
 		run := func(mode mpi.CollectiveMode) float64 {
-			sys := coreSystemForAblation(machine.XT4(), machine.SN, n)
+			sys := core.NewSystem(machine.XT4(), machine.SN, n)
 			elapsed := mpi.Run(sys, mode, func(p *mpi.P) {
 				for i := 0; i < 10; i++ {
 					p.Allreduce(mpi.Sum, 8, nil)
@@ -93,7 +93,7 @@ func runAblationMem(res *Result, _ Options) error {
 	big := 2 * bw // 2s of solo streaming
 	small := bw   // 1s of solo streaming
 
-	sys := coreSystemForAblation(m, machine.VN, 2)
+	sys := core.NewSystem(m, machine.VN, 2)
 	finish := make([]float64, 2)
 	sys.Run(func(r *core.Rank) {
 		bytes := small
@@ -156,7 +156,7 @@ func runAblationJitter(res *Result, o Options) error {
 	t.Row("noise amplitude", "makespan (ms)", "slowdown")
 	var base float64
 	for _, amp := range []float64{0, 0.01, 0.05, 0.1, 0.2} {
-		sys := coreSystemForAblation(machine.XT4(), machine.VN, tasks)
+		sys := core.NewSystem(machine.XT4(), machine.VN, tasks)
 		sys.NoiseAmp = amp
 		elapsed := mpi.Run(sys, mpi.Auto, func(p *mpi.P) {
 			for s := 0; s < steps; s++ {
@@ -198,7 +198,7 @@ func runAblationPlacement(res *Result, o Options) error {
 	const msgBytes = 512 << 10
 
 	runOnce := func(perm []int) float64 {
-		sys := coreSystemForAblation(machine.XT4(), machine.SN, tasks)
+		sys := core.NewSystem(machine.XT4(), machine.SN, tasks)
 		if perm != nil {
 			sys.SetPlacement(perm)
 		}
@@ -255,7 +255,7 @@ func runAblationRing(res *Result, o Options) error {
 	t.Row("bytes", "recursive doubling (µs)", "ring (µs)", "winner")
 	for _, size := range sizes {
 		run := func(ring bool) float64 {
-			sys := coreSystemForAblation(machine.XT4(), machine.SN, ranks)
+			sys := core.NewSystem(machine.XT4(), machine.SN, ranks)
 			return mpi.Run(sys, mpi.Algorithmic, func(p *mpi.P) {
 				if ring {
 					p.AllreduceRing(mpi.Sum, size, nil)

@@ -79,11 +79,12 @@ type Options struct {
 	// Hybrid selects the hybrid rank fast path (DESIGN.md §4i), set by
 	// `xtsim -hybrid`. "" leaves each experiment's default in place
 	// (ext-petascale engages the fast path per cell, everything else runs
-	// the DES); "off" forces the DES everywhere; "exact" and "analytic"
-	// request that tier on every sweep cell that supports system-level
-	// configuration. Admission may still decline (and the exact tier may
-	// abort back to the DES mid-run) — both are output-transparent, since
-	// the exact tier is bit-identical and fallbacks re-run on the DES.
+	// the DES); "off" forces the DES everywhere. "exact" requests the
+	// bit-identical tier on ext-petascale's cells and the global HPCC
+	// sweeps (fig8–11); admission may decline it and it may abort back to
+	// the DES mid-run, so those tables never change. "analytic" requests
+	// the closed-form tier on ext-petascale's cells only, whose deviation
+	// column reports it; no byte-identical table ever runs it.
 	Hybrid string `json:"hybrid"`
 	// CkptEvery overrides the checkpoint cadence (steps between checkpoint
 	// epochs) of checkpoint-aware experiments (ext-ckpt), set by `xtsim

@@ -216,10 +216,13 @@ func runGlobal(res *Result, o Options, metric string, bench func(*core.System) h
 	// sweep is evaluated through runCells, on whatever slots of the
 	// campaign's worker budget are idle; results are assembled by index,
 	// so the rendered table is byte-identical for any -jobs value. The
-	// system is built here (not inside the kernel) so -hybrid reaches
-	// these sweeps; output stays byte-identical for any Hybrid value
-	// because the exact tier either reproduces the DES bit for bit or
-	// aborts back to it.
+	// system is built here (not inside the kernel) so -hybrid exact
+	// reaches these sweeps; output stays byte-identical for any Hybrid
+	// value because only the exact tier is requested, and it either
+	// reproduces the DES bit for bit or aborts back to it. The analytic
+	// tier's uncontended closed form would rewrite these tables (fig10's
+	// 64-socket XT4-VN PTRANS read 4.5× the DES value), so it is never
+	// requested here.
 	scales := globalScales(o)
 	type cellCfg struct {
 		m    machine.Machine
@@ -236,7 +239,9 @@ func runGlobal(res *Result, o Options, metric string, bench func(*core.System) h
 	results := make([]hpcc.GlobalResult, len(cells))
 	runCells(res, len(cells), func(i int) {
 		sys := core.NewSystem(cells[i].m, cells[i].mode, cells[i].n)
-		applyHybrid(sys, o)
+		if o.Hybrid == "exact" {
+			sys.EnableHybrid(core.HybridExact)
+		}
 		if o.Timeline {
 			// Flight recorder on, export unused: the rendered table stays
 			// byte-identical, which is what lets BenchmarkFig9Timeline* price
@@ -274,11 +279,6 @@ func runFig1213(res *Result, o Options) error {
 			f3(x1[i].BWPerPair/1e9), f3(x2[i].BWPerPair/1e9), "")
 	}
 	return nil
-}
-
-// coreSystemForAblation builds a small system; shared by ablation code.
-func coreSystemForAblation(m machine.Machine, mode machine.Mode, tasks int) *core.System {
-	return core.NewSystem(m, mode, tasks)
 }
 
 func init() {

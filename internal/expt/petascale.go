@@ -27,21 +27,6 @@ func init() {
 	})
 }
 
-// applyHybrid requests the hybrid fast path on a freshly built sweep-cell
-// system according to Options.Hybrid. "" and "off" leave the DES in charge
-// (experiments with their own per-cell defaults, like ext-petascale, treat
-// "" as auto). Admission may still decline and the exact tier may abort
-// mid-run — both fall back to the DES, so rendered output never depends on
-// whether the request was granted.
-func applyHybrid(sys *core.System, o Options) {
-	switch o.Hybrid {
-	case "exact":
-		sys.EnableHybrid(core.HybridExact)
-	case "analytic":
-		sys.EnableHybrid(core.HybridAnalytic)
-	}
-}
-
 // petaCell is one strong-scaling point: the global grid is fixed (≈1440³
 // points full scale, ≈240³ short) and the per-task edge shrinks as tasks
 // grow, so tasks×edge³ is approximately constant down each column.

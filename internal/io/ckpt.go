@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"xtsim/internal/core"
-	"xtsim/internal/critpath"
 	"xtsim/internal/lustre"
 	"xtsim/internal/mpi"
 	"xtsim/internal/sim"
@@ -80,7 +79,6 @@ type Config struct {
 // threaded engine needs no locking (parallel/hybrid execution is declined
 // by lustre.Attach → core.AttachIO).
 type Writer struct {
-	sys *core.System
 	// FS is the backing filesystem, exported for telemetry inspection.
 	FS *lustre.FS
 
@@ -128,7 +126,6 @@ func Attach(sys *core.System, cfg Config) (*Writer, error) {
 		stripes = cfg.FS.TotalOSTs()
 	}
 	w := &Writer{
-		sys:     sys,
 		FS:      fs,
 		mode:    cfg.Mode,
 		stripes: stripes,
@@ -168,9 +165,9 @@ func (w *Writer) CheckpointAsync(p *mpi.P, bytesPerRank int64) {
 
 // epoch runs one checkpoint epoch: drain the rank's previous write-behind,
 // flush (sync or write-behind), then the skew-preserving quiesce. The whole
-// region is attributed to the File I/O op class; the causal recorder
-// additionally gets a KindIO wait spanning it, so the critical-path
-// analyzer can charge the makespan share to io_wait.
+// region is attributed to the File I/O op class, whose end the MPI runtime
+// also records as a timeline "ckpt" span and a critical-path io_wait
+// segment (mpi.P.IOEnd).
 func (w *Writer) epoch(p *mpi.P, bytesPerRank int64, sync bool) {
 	t0 := p.Now()
 	start := p.IOBegin()
@@ -183,7 +180,6 @@ func (w *Writer) epoch(p *mpi.P, bytesPerRank int64, sync bool) {
 	}
 	w.quiesce(p, t0)
 	p.IOEnd(start)
-	w.addIOWait(p, t0)
 	if p.Rank() == 0 {
 		w.Epochs++
 	}
@@ -244,11 +240,9 @@ func (w *Writer) Drain(p *mpi.P) {
 		w.pending[p.Rank()] = nil
 		return
 	}
-	t0 := p.Now()
 	start := p.IOBegin()
 	w.drainRank(p)
 	p.IOEnd(start)
-	w.addIOWait(p, t0)
 }
 
 // drainRank awaits the rank's pending write-behind request without opening
@@ -287,17 +281,5 @@ func (w *Writer) quiesce(p *mpi.P, t0 sim.Time) {
 	// Guard: the min-t0 rank's target can round one ulp below now.
 	if target := t0 + w.barRelease; target > proc.Now() {
 		proc.WaitUntil(target)
-	}
-}
-
-// addIOWait records [t0, now] as a blocked-on-storage span for the causal
-// recorder; the analyzer attributes it to io_wait. Edgeless: storage holds
-// the rank, not another rank, so the backward walk stays on this rank.
-func (w *Writer) addIOWait(p *mpi.P, t0 sim.Time) {
-	if cp := w.sys.CP; cp != nil {
-		now := p.Now()
-		if now > t0 {
-			cp.AddWait(p.Rank(), t0, now, int(mpi.OpIO), critpath.KindIO, 0)
-		}
 	}
 }

@@ -26,8 +26,6 @@ import (
 	"xtsim/internal/machine"
 	"xtsim/internal/network"
 	"xtsim/internal/sim"
-	"xtsim/internal/telemetry"
-	"xtsim/internal/timeline"
 )
 
 // CollectiveMode selects how collectives are executed.
@@ -106,7 +104,8 @@ type World struct {
 	// pools holds one recycling pool + send-counter block per scheduling
 	// domain (a single entry in serial mode): flights, payload slabs and
 	// counters all stay domain-private so the sharded scheduler's workers
-	// never contend (see pool.go and DESIGN.md §4d/§4h).
+	// never contend (see pool.go and DESIGN.md §4d/§4h). Each also holds
+	// its domain's observer probe, the runtime's only observer state.
 	pools []wpool
 
 	// Stats by operation, for the phase breakdowns of Figures 16 and 19.
@@ -115,28 +114,10 @@ type World struct {
 	SentMsgs  uint64
 	SentBytes uint64
 
-	// tel collects per-communicator operation statistics and the injection
-	// time series; nil unless the system had telemetry enabled when the
-	// world was created, in which case the message hot path pays a nil
-	// check and nothing else.
-	tel *telemetry.MPIStats
-
-	// cp is the system's causal recorder; nil unless critical-path
-	// recording was enabled when the world was created, in which case the
-	// blocking paths record waits under the same nil-gate discipline.
-	cp *critpath.Recorder
-
 	// hyb is the hybrid fast-path run state, nil for DES worlds (see
 	// hybrid.go); newComm uses it to wire member views for hybrid matching,
 	// and meet to give each collective a channel to park on.
 	hyb *hybRun
-
-	// tl is the system's timeline flight recorder, nil unless
-	// core.System.EnableTimeline was called before the world came up. When
-	// set, top-level collectives and I/O regions emit phase spans from
-	// opEnd, and applications may add their own via PhaseBegin/PhaseEnd —
-	// all under the same nil-gate discipline as tel/cp.
-	tl *timeline.Recorder
 
 	// mu serialises communicator creation: hybrid ranks of different
 	// communicators can Split concurrently.
@@ -144,23 +125,19 @@ type World struct {
 }
 
 // NewWorld creates the runtime for sys, planning its engine if no earlier
-// call did (core.System.Plan). If telemetry is enabled on the system
-// (core.System.EnableTelemetry), the world attaches its MPI collector to
-// the system's telemetry set; if critical-path recording is enabled
-// (core.System.EnableCritPath), the world records blocked segments into
-// the system's recorder and labels them with OpClass names.
+// call did (core.System.Plan). Each domain pool takes the probe the plan
+// installed in that domain's fabric ledger, readied for this world (a
+// fresh telemetry collector, the OpClass names): every rank records
+// through it.
 func NewWorld(sys *core.System) *World {
 	sys.Plan(false)
 	w := &World{sys: sys, pools: make([]wpool, sys.NumDomains())}
-	if sys.Tel != nil {
-		w.tel = telemetry.NewMPIStats(opNames(), 0)
-		sys.Tel.MPI = w.tel
+	for i := range w.pools {
+		if pr := sys.Fabric.Probe(i); pr != nil {
+			pr.World(opNames())
+			w.pools[i].probe = pr
+		}
 	}
-	if sys.CP != nil {
-		w.cp = sys.CP
-		w.cp.SetClassNames(opNames())
-	}
-	w.tl = sys.Tl
 	return w
 }
 
@@ -179,10 +156,6 @@ type Comm struct {
 	// hybrid ranks arrive from concurrent goroutines.
 	mu    sync.Mutex
 	meets []*meet
-
-	// tel is the communicator's telemetry slot, nil when telemetry is off;
-	// cached here so the per-op hot path never does a map lookup.
-	tel *telemetry.CommStats
 }
 
 // P is one task's view of a communicator: the object application code
@@ -297,8 +270,10 @@ func (w *World) newComm(group []int) *Comm {
 	w.comms++
 	c := &Comm{w: w, id: w.comms, group: group}
 	w.allComms = append(w.allComms, c)
-	if w.tel != nil {
-		c.tel = w.tel.Comm(c.id, len(group))
+	for i := range w.pools {
+		if pr := w.pools[i].probe; pr != nil {
+			pr.Comm(c.id, len(group))
+		}
 	}
 	w.mu.Unlock()
 	// The world communicator's group is the identity permutation, so the
@@ -417,7 +392,6 @@ func (p *P) isendData(dst, tag int, bytes int64, data []float64) *Request {
 	if p.hyb != nil {
 		return p.hybIsend(dst, tag, bytes, data)
 	}
-	w := p.c.w
 	dstTask := p.global(dst)
 	// Copy the payload: eager-protocol buffering means the sender may
 	// freely mutate its buffer after the send is issued. The copy lives in
@@ -425,29 +399,23 @@ func (p *P) isendData(dst, tag int, bytes int64, data []float64) *Request {
 	env := Envelope{Src: p.me, Tag: tag, Bytes: bytes, Data: p.clonePayload(data)}
 
 	fl := p.newFlight(p.c.members[dst], tag, env)
-	tl := w.sys.Fabric.Deliver(p.task.Now(), p.msg(dstTask, bytes), fl)
+	tl := p.c.w.sys.Fabric.Deliver(p.task.Now(), p.msg(dstTask, bytes), fl)
 	p.pool.sentMsgs++
 	p.pool.sentBytes += uint64(bytes)
-	if w.tel != nil {
+
+	req := p.newSendReq()
+	if pr := p.pool.probe; pr != nil {
 		cls := OpSend // a bare Isend outside any tracked region
 		if p.opDepth > 0 {
 			cls = p.curClass
 		}
-		w.tel.Message(p.c.tel, int(cls), tl.Depart, bytes)
-	}
-
-	req := p.newSendReq()
-	if w.cp != nil {
-		// Stamp the delivery's happens-before edge into the in-flight
+		// The delivery's happens-before edge goes into the in-flight
 		// envelope (the receiver's wait will end with it) and the send
 		// request (a blocked Wait decomposes into injection queueing +
 		// serialisation). Mutating fl after Deliver is safe: its arrival
-		// event fires later and the engine is single-threaded.
-		eid := w.sys.Fabric.LastCritPathEdge()
-		if eid != 0 {
-			w.cp.Edge(eid).SrcRank = int32(p.task.ID)
-			fl.env.cause = eid
-		}
+		// event fires later.
+		eid := pr.Sent(p.task.ID, p.c.id, int(cls), tl.Depart, bytes)
+		fl.env.cause = eid
 		req.edge = eid
 	}
 	// The injection-complete event belongs to the sender's node, so it is
@@ -470,14 +438,14 @@ func (p *P) Recv(src, tag int) Envelope {
 		return p.hybRecv(src, tag)
 	}
 	box := p.slot(src).mbox(tag)
-	if cp := p.c.w.cp; cp != nil {
+	if pr := p.pool.probe; pr != nil {
 		// Every blocking receive in the runtime funnels through here
 		// (including the algorithmic collectives' internal p2p), so this
 		// one site records all message-ended waits. curClass is the
 		// enclosing top-level op, matching the Profile attribution rules.
 		t0 := p.task.Now()
 		env := box.Recv(p.task.Proc)
-		cp.AddWait(p.task.ID, t0, p.task.Now(), int(p.curClass), critpath.KindRecv, env.cause)
+		pr.Blocked(p.task.ID, t0, p.task.Now(), int(p.curClass), critpath.KindRecv, env.cause)
 		return env
 	}
 	return box.Recv(p.task.Proc)
@@ -580,12 +548,12 @@ func (p *P) waitOne(r *Request) {
 		}
 		return
 	}
-	if cp := p.c.w.cp; cp != nil && !r.done {
+	if pr := p.pool.probe; pr != nil && !r.done {
 		t0 := p.task.Now()
 		for !r.done {
 			r.cond.Await(p.task.Proc)
 		}
-		cp.AddWait(p.task.ID, t0, p.task.Now(), int(p.curClass), critpath.KindSend, r.edge)
+		pr.Blocked(p.task.ID, t0, p.task.Now(), int(p.curClass), critpath.KindSend, r.edge)
 	}
 	for !r.done {
 		r.cond.Await(p.task.Proc)
@@ -706,22 +674,18 @@ func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
 
 // analytic performs a collective with a closed-form cost on the meet.
 func (p *P) analytic(cost func() float64) {
-	cp := p.c.w.cp
+	pr := p.pool.probe
+	if pr == nil {
+		p.meet(cost, nil, nil)
+		return
+	}
 	entry := p.task.Now()
 	m := p.meet(cost, nil, func(m *meet) {
-		if cp != nil {
-			// One shared last-arrival edge: every rank's resume depends on
-			// the latest entry into the collective.
-			id, e := cp.StartEdge(critpath.EdgeCollective, m.maxAt, 0, 0)
-			if e != nil {
-				e.SrcRank = int32(p.c.group[m.maxRank])
-			}
-			m.edge = id
-		}
+		// One shared last-arrival edge: every rank's resume depends on
+		// the latest entry into the collective.
+		m.edge = pr.Collective(m.maxAt, p.c.group[m.maxRank])
 	})
-	if cp != nil {
-		cp.AddWait(p.task.ID, entry, p.task.Now(), int(p.curClass), critpath.KindColl, m.edge)
-	}
+	pr.Blocked(p.task.ID, entry, p.task.Now(), int(p.curClass), critpath.KindColl, m.edge)
 }
 
 func (p *P) useAnalytic() bool {
@@ -826,7 +790,7 @@ func (p *P) Bcast(root int, bytes int64, data []float64) []float64 {
 		for mask < n {
 			if vr&mask != 0 {
 				parent := ((vr - mask) + root) % n
-				env := p.Recv(p.localOf(parent), tagBcast)
+				env := p.Recv(parent, tagBcast)
 				data = env.Data
 				break
 			}
@@ -845,17 +809,13 @@ func (p *P) Bcast(root int, bytes int64, data []float64) []float64 {
 	for m := mask >> 1; m >= 1; m >>= 1 {
 		child := vr | m
 		if child < n && child != vr {
-			reqs = append(reqs, p.isendData(p.localOf((child+root)%n), tagBcast, bytes, data))
+			reqs = append(reqs, p.isendData((child+root)%n, tagBcast, bytes, data))
 		}
 	}
 	p.Wait(reqs...)
 	p.reqScratch = reqs[:0]
 	return data
 }
-
-// localOf is identity (group ranks are already local); kept for clarity at
-// call sites translating virtual tree ranks.
-func (p *P) localOf(rank int) int { return rank }
 
 // shareFromRoot distributes root's data through the meet (used by analytic
 // collectives, whose cost is already accounted for).
@@ -903,12 +863,12 @@ func (p *P) Reduce(root int, op Op, bytes int64, data []float64) []float64 {
 	for mask := 1; mask < n; mask <<= 1 {
 		if vr&mask != 0 {
 			parent := ((vr &^ mask) + root) % n
-			p.sendData(p.localOf(parent), tagReduce, bytes, acc)
+			p.sendData(parent, tagReduce, bytes, acc)
 			return nil
 		}
 		child := vr | mask
 		if child < n {
-			env := p.Recv(p.localOf((child+root)%n), tagReduce)
+			env := p.Recv((child+root)%n, tagReduce)
 			if acc != nil && env.Data != nil {
 				op.combine(acc, env.Data)
 			}

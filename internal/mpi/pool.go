@@ -1,6 +1,9 @@
 package mpi
 
-import "xtsim/internal/sim"
+import (
+	"xtsim/internal/sim"
+	"xtsim/internal/timeline"
+)
 
 // Hot-path pooling (DESIGN.md §4d): in-flight arrival records, send
 // requests, and payload slabs are all recycled so a steady-state Send/Recv
@@ -12,17 +15,20 @@ import "xtsim/internal/sim"
 // free lists need no locks under the sharded scheduler and keep their
 // zero-allocation steady state.
 
-// wpool is one scheduling domain's private pool and send counters. Each is
-// touched only by that domain's worker goroutine (serial mode: the one
-// engine goroutine); the trailing pad keeps adjacent domains' hot fields
-// off one cache line.
+// wpool is one scheduling domain's private pool, send counters and
+// observer probe. Each is touched only by that domain's worker goroutine
+// (serial mode: the one engine goroutine); the trailing pad keeps adjacent
+// domains' hot fields off one cache line.
 type wpool struct {
 	freeFlights *flight
 	freeSlots   *matchSlot
 	payload     [][]float64
 	sentMsgs    uint64
 	sentBytes   uint64
-	_           [4]uint64
+	// probe is the domain's observer, the one its fabric ledger holds; nil
+	// while no observer is on.
+	probe *timeline.Probe
+	_     [4]uint64
 }
 
 // flight is the arrival record of one in-flight eager message. It

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"xtsim/internal/critpath"
 	"xtsim/internal/sim"
 	"xtsim/internal/telemetry"
 )
@@ -119,8 +120,10 @@ func (p *P) opBegin(class OpClass) sim.Time {
 }
 
 // opEnd closes the region opened by opBegin. Only top-level regions
-// attribute elapsed simulated time and the call count, and only top-level
-// collectives and I/O regions become timeline spans.
+// attribute elapsed simulated time and the call count and reach the
+// domain's probe: telemetry's per-communicator op counters, a timeline
+// span for collectives and I/O regions, and an I/O region's io_wait
+// segment.
 func (p *P) opEnd(class OpClass, start sim.Time) {
 	p.opDepth--
 	if start < 0 {
@@ -129,10 +132,12 @@ func (p *P) opEnd(class OpClass, start sim.Time) {
 	now := p.task.Now()
 	p.prof.Seconds[class] += now - start
 	p.prof.Calls[class]++
-	if p.c.tel != nil {
-		p.c.tel.EndOp(int(class), now-start)
+	pr := p.pool.probe
+	if pr == nil {
+		return
 	}
-	if class >= OpBarrier && p.c.w.tl != nil {
+	pr.EndOp(p.c.id, int(class), now-start)
+	if class >= OpBarrier {
 		// Top-level collectives and I/O regions become timeline phase
 		// spans automatically; point-to-point classes stay span-free (the
 		// paper's phase vocabulary is compute / halo / collective / ckpt,
@@ -141,8 +146,12 @@ func (p *P) opEnd(class OpClass, start sim.Time) {
 		if class != OpIO {
 			name = class.String()
 		}
-		w := p.c.w
-		w.tl.Span(w.sys.DomainOf(p.task.NodeID), p.task.ID, name, int(p.curIter), start, now)
+		pr.Span(p.task.ID, name, int(p.curIter), start, now)
+	}
+	if class == OpIO {
+		// Storage held the rank, not another rank: an edgeless blocked
+		// segment the critical-path analyzer charges to io_wait.
+		pr.Blocked(p.task.ID, start, now, int(OpIO), critpath.KindIO, 0)
 	}
 }
 

@@ -26,10 +26,10 @@ func TestTelemetryAttribution(t *testing.T) {
 			calls[op] += p.Profile().Calls[op]
 		}
 	})
-	if sys.Tel == nil || sys.Tel.MPI == nil {
-		t.Fatal("MPI collector not attached to the system's telemetry set")
+	rep := sys.TelemetryReport().MPI
+	if rep == nil {
+		t.Fatal("MPI collector not attached to the system's probe")
 	}
-	rep := sys.Tel.MPI.Report()
 	if len(rep.Comms) != 1 {
 		t.Fatalf("comms = %d, want 1", len(rep.Comms))
 	}
@@ -79,7 +79,7 @@ func TestTelemetrySubCommunicators(t *testing.T) {
 		sub := p.Split(p.Rank()%2, p.Rank())
 		sub.Allreduce(Sum, 64, nil)
 	})
-	rep := sys.Tel.MPI.Report()
+	rep := sys.TelemetryReport().MPI
 	if len(rep.Comms) != 3 { // world + two halves
 		t.Fatalf("comms = %d, want 3", len(rep.Comms))
 	}
@@ -90,6 +90,26 @@ func TestTelemetrySubCommunicators(t *testing.T) {
 		if len(c.Ops) == 0 {
 			t.Errorf("sub-communicator %d recorded no ops", c.ID)
 		}
+	}
+}
+
+// TestTelemetryCollectorPerWorld checks each World gets a fresh MPI
+// collector in its domain's probe: after a second run on the same system
+// the report counts that run's traffic only.
+func TestTelemetryCollectorPerWorld(t *testing.T) {
+	sys := newSys(2, machine.SN).EnableTelemetry()
+	body := func(p *P) {
+		if p.Rank() == 0 {
+			p.Send(1, 0, 64)
+		} else {
+			p.Recv(0, 0)
+		}
+	}
+	Run(sys, Algorithmic, body)
+	Run(sys, Algorithmic, body)
+	rep := sys.TelemetryReport().MPI
+	if len(rep.Comms) != 1 || rep.Comms[0].Ops[0].Op != "Send" || rep.Comms[0].Ops[0].Calls != 1 {
+		t.Fatalf("second world's report = %+v, want one Send on one communicator", rep.Comms)
 	}
 }
 

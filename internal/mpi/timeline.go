@@ -20,7 +20,7 @@ func (p *P) SetIter(iter int) { p.curIter = int32(iter) }
 // PhaseBegin opens an application phase span and returns its start token,
 // or -1 when the flight recorder is off. Pair with PhaseEnd.
 func (p *P) PhaseBegin() sim.Time {
-	if p.c.w.tl == nil {
+	if p.pool.probe == nil {
 		return -1
 	}
 	return p.task.Now()
@@ -33,6 +33,5 @@ func (p *P) PhaseEnd(name string, start sim.Time) {
 	if start < 0 {
 		return
 	}
-	w := p.c.w
-	w.tl.Span(w.sys.DomainOf(p.task.NodeID), p.task.ID, name, int(p.curIter), start, p.task.Now())
+	p.pool.probe.Span(p.task.ID, name, int(p.curIter), start, p.task.Now())
 }

@@ -535,42 +535,29 @@ func (f *Fabric) ZeroLatencyEstimate(hops int, mode machine.Mode, farCore bool) 
 	return lat
 }
 
-// LinkUtilization reports per-link busy fractions over [0, horizon];
-// useful for diagnosing bisection-limited workloads such as PTRANS.
-func (f *Fabric) LinkUtilization(horizon sim.Time) []float64 {
-	out := make([]float64, len(f.links))
-	for i := range f.links {
-		out[i] = f.links[i].Utilization(horizon)
-	}
-	return out
-}
-
 // InstallProbe installs the serial ledger's reservation probe; nil leaves
 // every reservation unobserved. core.System.Plan calls it once the engine
 // is planned, before any traffic.
 func (f *Fabric) InstallProbe(p *timeline.Probe) { f.probe = p }
 
+// Probe returns the probe of engine domain dom's ledger (the serial
+// ledger's on a serial fabric), nil while no observer is on. The MPI
+// runtime's ranks on that domain record through the same probe, so a
+// message's per-communicator records follow the edge its delivery opened.
+func (f *Fabric) Probe(dom int) *timeline.Probe {
+	if f.par != nil {
+		return f.par.dom[dom].probe
+	}
+	return f.probe
+}
+
 // NumLinks reports the number of directed torus links — the Link-class
 // resource count for timeline utilization normalisation.
 func (f *Fabric) NumLinks() int { return len(f.links) }
 
-// LastCritPathEdge returns the edge id recorded by the most recent Deliver
-// call, or 0 when recording is off or the edge was dropped at the cap.
-// The MPI layer reads it right after Deliver to stamp the edge into the
-// matching envelope (single-threaded event execution makes this safe).
-func (f *Fabric) LastCritPathEdge() int32 {
-	if f.probe == nil {
-		return 0
-	}
-	return f.probe.LastEdge()
-}
-
 // LinkLabel names a directed link from its dense id ("node 12 +X"); shared
 // by the telemetry and critical-path reports.
-func (f *Fabric) LinkLabel(id int) string { return f.linkLabel(id) }
-
-// linkLabel names a directed link from its dense id ("node 12 +X").
-func (f *Fabric) linkLabel(id int) string {
+func (f *Fabric) LinkLabel(id int) string {
 	dim := torus.Dim(id % 6 / 2)
 	sign := byte('+')
 	if id%2 == 1 {
@@ -625,7 +612,7 @@ func (f *Fabric) TelemetryReport(horizon sim.Time) *telemetry.FabricReport {
 		s := agg.Summary()
 		if i := agg.MaxIndex(); i >= 0 {
 			if s.Class == "link" {
-				s.Busiest = f.linkLabel(i)
+				s.Busiest = f.LinkLabel(i)
 			} else {
 				s.Busiest = fmt.Sprintf("node %d", i)
 			}
@@ -650,7 +637,7 @@ func (f *Fabric) TelemetryReport(horizon sim.Time) *telemetry.FabricReport {
 		}
 		s := agg.Summary()
 		if maxID >= 0 {
-			s.Busiest = f.linkLabel(maxID)
+			s.Busiest = f.LinkLabel(maxID)
 		}
 		rep.Dims = append(rep.Dims, s)
 	}
@@ -683,7 +670,7 @@ func (f *Fabric) TelemetryReport(horizon sim.Time) *telemetry.FabricReport {
 				break
 			}
 			rep.TopLinks = append(rep.TopLinks, telemetry.LinkHot{
-				Link:        f.linkLabel(id),
+				Link:        f.LinkLabel(id),
 				Utilization: r.Busy / horizon,
 				Bytes:       bytes[timeline.Link][id],
 				WaitSeconds: wait[timeline.Link][id],

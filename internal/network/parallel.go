@@ -66,11 +66,11 @@ type parState struct {
 
 // EnableParallel switches the fabric to sharded delivery. The partition
 // must cover this fabric's torus and match the sharded engine's domain
-// count. probes, when non-nil, holds each slab's reservation probe (index
-// = domain). core.System's engine plan is the one caller: its admission
-// table keeps non-torus fabrics, and the telemetry and critical-path
-// recorders that aggregate on the serial ledger, off sharded runs, so
-// these probes only sample the timeline. Call before any traffic.
+// count. probes, when non-nil, holds each slab's probe (index = domain).
+// core.System's engine plan is the one caller: its admission table keeps
+// non-torus fabrics, and the telemetry and critical-path recorders that
+// aggregate on the serial ledger, off sharded runs, so these probes only
+// record the timeline's bins and spans. Call before any traffic.
 func (f *Fabric) EnableParallel(sh *sim.ShardedEngine, part torus.Partition, probes []*timeline.Probe) {
 	if part.Topology() != f.Tor || sh.NumDomains() != part.NumDomains() {
 		panic(fmt.Sprintf("network: %d-domain scheduler and partition %v do not shard fabric %v",

@@ -146,8 +146,8 @@ func TestLinkLabel(t *testing.T) {
 		12: "node 2 +X",
 	}
 	for id, want := range cases {
-		if got := f.linkLabel(id); got != want {
-			t.Errorf("linkLabel(%d) = %q, want %q", id, got, want)
+		if got := f.LinkLabel(id); got != want {
+			t.Errorf("LinkLabel(%d) = %q, want %q", id, got, want)
 		}
 	}
 }

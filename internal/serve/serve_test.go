@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -54,7 +55,7 @@ func boomExp(id string) expt.Experiment {
 
 // testServer builds a Server over a synthetic registry and an httptest
 // front end.
-func testServer(t *testing.T, cfg Config, exps ...expt.Experiment) (*Server, *httptest.Server) {
+func testServer(t testing.TB, cfg Config, exps ...expt.Experiment) (*Server, *httptest.Server) {
 	t.Helper()
 	byID := make(map[string]expt.Experiment, len(exps))
 	for _, e := range exps {
@@ -403,6 +404,43 @@ func TestRequestValidation(t *testing.T) {
 	if code, _, _ := get(t, ts.URL+"/api/v1/jobs/job-999999/result"); code != http.StatusNotFound {
 		t.Errorf("unknown job result should be 404, got %d", code)
 	}
+}
+
+// FuzzSubmit posts arbitrary bodies to the submit endpoint: each must be
+// admitted (202), rejected as malformed (400) or turned away by the full
+// queue (429), never answered with a 5xx, a panic (net/http recovers a
+// handler panic by dropping the connection, which fails the post) or a
+// hang. The seeds are TestRequestValidation's bodies plus a valid
+// submission, so `go test` replays them without -fuzz.
+func FuzzSubmit(f *testing.F) {
+	for _, body := range []string{
+		`{"experiments":["alpha"]}`,
+		`{"experiments":["nope"]}`,
+		`{"experiments":[]}`,
+		`{"bogus":1}`,
+		`{"experiments":["alpha"],"options":{"hybrid":"warp"}}`,
+		`{"experiments":["alpha"],"options":{"shards":4}}`,
+		`{"experiments":["alpha"],"options":{"ckpt_every":-1}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	_, ts := testServer(f, Config{}, fastExp("alpha"))
+	// A submission answers at once (202 does not wait for the job), so a
+	// post still open after the timeout is a hang, and fails too.
+	client := &http.Client{Timeout: 10 * time.Second}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resp, err := client.Post(ts.URL+"/api/v1/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("body %q: %v", body, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("body %q: HTTP %d", body, resp.StatusCode)
+		}
+	})
 }
 
 func TestResultBeforeDoneConflicts(t *testing.T) {

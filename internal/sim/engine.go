@@ -371,6 +371,3 @@ func (e *Engine) nextEventAt() Time {
 	}
 	return e.queue.ev[0].at
 }
-
-// Pending reports the number of events currently queued.
-func (e *Engine) Pending() int { return e.queue.len() }

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // histBuckets bounds the log2 message-size histogram: bucket k counts
 // messages of size [2^(k-1), 2^k) bytes (bucket 0 counts zero-byte
@@ -41,20 +38,10 @@ type OpCounter struct {
 	Hist [histBuckets]uint64
 }
 
-// CommStats holds one communicator's per-operation counters. The MPI
-// runtime caches the pointer on the communicator, so the per-op hot path is
-// an index into Ops, never a map lookup.
-type CommStats struct {
-	ID   int
-	Size int
-	Ops  []OpCounter
-}
-
-// EndOp attributes one completed top-level operation.
-func (c *CommStats) EndOp(op int, seconds float64) {
-	oc := &c.Ops[op]
-	oc.Calls++
-	oc.Seconds += seconds
+// commStats holds one communicator's size and per-operation counters.
+type commStats struct {
+	size int
+	ops  []OpCounter
 }
 
 // seriesCell is one time bucket of the injection series.
@@ -65,10 +52,12 @@ type seriesCell struct {
 
 // MPIStats collects MPI-layer telemetry for one World: per-communicator
 // operation counters plus a time series of injected bytes in
-// simulated-time buckets.
+// simulated-time buckets. A world numbers its communicators densely, so
+// comms is indexed by id and the per-op hot path is two slice indexes,
+// never a map lookup.
 type MPIStats struct {
 	opNames []string
-	comms   map[int]*CommStats
+	comms   []*commStats // by communicator id; nil where none registered
 	bucket  float64
 	series  []seriesCell
 }
@@ -80,28 +69,32 @@ func NewMPIStats(opNames []string, bucketSeconds float64) *MPIStats {
 	if bucketSeconds <= 0 {
 		bucketSeconds = defaultBucketSeconds
 	}
-	return &MPIStats{
-		opNames: opNames,
-		comms:   make(map[int]*CommStats),
-		bucket:  bucketSeconds,
+	return &MPIStats{opNames: opNames, bucket: bucketSeconds}
+}
+
+// Comm registers communicator id with the given size; the first
+// registration of an id holds.
+func (m *MPIStats) Comm(id, size int) {
+	for len(m.comms) <= id {
+		m.comms = append(m.comms, nil)
+	}
+	if m.comms[id] == nil {
+		m.comms[id] = &commStats{size: size, ops: make([]OpCounter, len(m.opNames))}
 	}
 }
 
-// Comm returns (creating on first use) the stats of communicator id with
-// the given size.
-func (m *MPIStats) Comm(id, size int) *CommStats {
-	if c, ok := m.comms[id]; ok {
-		return c
-	}
-	c := &CommStats{ID: id, Size: size, Ops: make([]OpCounter, len(m.opNames))}
-	m.comms[id] = c
-	return c
+// EndOp attributes one completed top-level operation of class op on
+// registered communicator comm.
+func (m *MPIStats) EndOp(comm, op int, seconds float64) {
+	oc := &m.comms[comm].ops[op]
+	oc.Calls++
+	oc.Seconds += seconds
 }
 
 // Message records one injected message at simulated time now, attributed to
-// operation class op on communicator c.
-func (m *MPIStats) Message(c *CommStats, op int, now float64, bytes int64) {
-	oc := &c.Ops[op]
+// operation class op on registered communicator comm.
+func (m *MPIStats) Message(comm, op int, now float64, bytes int64) {
+	oc := &m.comms[comm].ops[op]
 	oc.Msgs++
 	oc.Bytes += bytes
 	k := bits.Len64(uint64(bytes))
@@ -178,7 +171,7 @@ type MPIReport struct {
 	Series        []SeriesPoint `json:"series,omitempty"`
 }
 
-// Report assembles the deterministic export: communicators sorted by id,
+// Report assembles the deterministic export: communicators in id order,
 // operations in class order (only classes that were used), the series
 // merged down to at most exportSeriesMax points. Safe on a nil collector
 // (returns nil), so callers can forward it unconditionally.
@@ -186,18 +179,14 @@ func (m *MPIStats) Report() *MPIReport {
 	if m == nil {
 		return nil
 	}
-	ids := make([]int, 0, len(m.comms))
-	for id := range m.comms {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-
 	rep := &MPIReport{BucketSeconds: m.bucket}
-	for _, id := range ids {
-		c := m.comms[id]
-		cr := CommReport{ID: c.ID, Size: c.Size}
-		for op := range c.Ops {
-			oc := &c.Ops[op]
+	for id, c := range m.comms {
+		if c == nil {
+			continue
+		}
+		cr := CommReport{ID: id, Size: c.size}
+		for op := range c.ops {
+			oc := &c.ops[op]
 			if oc.Calls == 0 && oc.Msgs == 0 {
 				continue
 			}

@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's opt-in observability layer:
-// per-resource utilization reports over the counters the engine's
-// reservation probe (timeline.Probe) accumulates, per-communicator MPI
-// operation statistics, and deterministic exports — a JSON document and a
-// text congestion heatmap over the torus.
+// per-resource utilization reports over the counters the engine's probe
+// (timeline.Probe) accumulates, per-communicator MPI operation statistics
+// the MPI runtime records through the same probe, and deterministic
+// exports — a JSON document and a text congestion heatmap over the torus.
 //
 // The paper's conclusions are balance arguments (NIC injection bandwidth,
 // VN-mode NIC sharing, per-link occupancy); this package is what lets an
@@ -12,8 +12,9 @@
 // Design invariants (DESIGN.md §4e):
 //
 //   - Zero cost when disabled. Instrumented packages hold a single
-//     nil-gated pointer (the probe, or the MPI collector); with telemetry
-//     off the hot paths pay one nil check and allocate nothing.
+//     nil-gated pointer, their engine domain's probe, which also holds
+//     the MPI world's collector; with telemetry off the hot paths pay one
+//     nil check and allocate nothing.
 //   - Deterministic exports. The simulator is deterministic, and every
 //     rendering here iterates slices or sorts keys — never a bare map — so
 //     running the same experiment twice yields byte-identical output.
@@ -28,15 +29,6 @@ package telemetry
 // SchemaVersion identifies the telemetry report layout (JSON);
 // bump on incompatible changes. EXPERIMENTS.md documents the schema.
 const SchemaVersion = 1
-
-// Set is the MPI side of one simulated system's telemetry. core.System owns
-// one when telemetry is enabled, and mpi.NewWorld attaches its collector.
-// The fabric's and the filesystem's per-resource counters live in the
-// engine's reservation probe (timeline.Probe).
-type Set struct {
-	// MPI holds the MPI runtime's per-communicator statistics.
-	MPI *MPIStats
-}
 
 // ClassSummary aggregates the counters of one resource class (all torus
 // links, all NIC injection ports, …) or one labelled subgroup (the links of

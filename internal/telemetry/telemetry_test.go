@@ -77,11 +77,11 @@ func TestWriteHeatmap(t *testing.T) {
 
 func TestMPIHistogramBuckets(t *testing.T) {
 	m := NewMPIStats([]string{"Send"}, 1)
-	c := m.Comm(1, 2)
-	m.Message(c, 0, 0, 0)    // zero bytes -> bucket 0, lt 1
-	m.Message(c, 0, 0, 1)    // -> lt 2
-	m.Message(c, 0, 0, 1024) // 2^10 -> [2^10, 2^11), lt 2048
-	m.Message(c, 0, 0, 1025)
+	m.Comm(1, 2)
+	m.Message(1, 0, 0, 0)    // zero bytes -> bucket 0, lt 1
+	m.Message(1, 0, 0, 1)    // -> lt 2
+	m.Message(1, 0, 0, 1024) // 2^10 -> [2^10, 2^11), lt 2048
+	m.Message(1, 0, 0, 1025)
 	rep := m.Report()
 	ops := rep.Comms[0].Ops
 	if len(ops) != 1 || ops[0].Msgs != 4 || ops[0].Bytes != 2050 {
@@ -100,11 +100,11 @@ func TestMPIHistogramBuckets(t *testing.T) {
 
 func TestMPISeriesHalving(t *testing.T) {
 	m := NewMPIStats([]string{"Send"}, 1)
-	c := m.Comm(1, 2)
-	m.Message(c, 0, 0.5, 8)
+	m.Comm(1, 2)
+	m.Message(1, 0, 0.5, 8)
 	// Beyond maxSeriesBuckets seconds at 1 s/bucket: forces halving until
 	// the index fits.
-	m.Message(c, 0, float64(maxSeriesBuckets)*1.5, 8)
+	m.Message(1, 0, float64(maxSeriesBuckets)*1.5, 8)
 	if m.bucket <= 1 {
 		t.Fatalf("bucket did not grow: %g", m.bucket)
 	}
@@ -130,8 +130,10 @@ func TestMPIReportNilSafe(t *testing.T) {
 
 func TestMPIReportSortsComms(t *testing.T) {
 	m := NewMPIStats([]string{"Send"}, 1)
-	m.Message(m.Comm(3, 4), 0, 0, 8)
-	m.Message(m.Comm(1, 2), 0, 0, 8)
+	m.Comm(3, 4)
+	m.Message(3, 0, 0, 8)
+	m.Comm(1, 2)
+	m.Message(1, 0, 0, 8)
 	rep := m.Report()
 	if len(rep.Comms) != 2 || rep.Comms[0].ID != 1 || rep.Comms[1].ID != 3 {
 		t.Fatalf("comms not sorted by id: %+v", rep.Comms)
@@ -249,10 +251,10 @@ func TestCheckConservationNamesViolatedInvariant(t *testing.T) {
 // buildReport assembles a fixed small report; used to pin determinism.
 func buildReport() *Report {
 	m := NewMPIStats([]string{"Send", "Allreduce"}, 1e-4)
-	c := m.Comm(1, 4)
-	m.Message(c, 1, 0.0001, 64)
-	m.Message(c, 1, 0.0002, 64)
-	c.EndOp(1, 0.5)
+	m.Comm(1, 4)
+	m.Message(1, 1, 0.0001, 64)
+	m.Message(1, 1, 0.0002, 64)
+	m.EndOp(1, 1, 0.5)
 	return &Report{
 		SchemaVersion:  SchemaVersion,
 		HorizonSeconds: 1.25,

@@ -10,11 +10,11 @@ import (
 // stage, but the timeline does not bin it.
 const NICRx = numClasses
 
-// Probe is one engine domain's reservation observer: the one pointer the
-// fabric's delivery ledger and the Lustre filesystem hold. It is nil while
-// no observer is on, so each reservation site pays a single nil check and
-// allocates nothing (the mpi package's ZeroAllocs guards). For every
-// reservation it records:
+// Probe is one engine domain's observer: the one pointer the fabric's
+// delivery ledger, the Lustre filesystem and the MPI runtime's domain pool
+// hold. It is nil while no observer is on, so each instrumented site pays a
+// single nil check and allocates nothing (the mpi package's ZeroAllocs
+// guards). For every reservation it records:
 //
 //   - the timeline's integer bins, into the domain's Collector;
 //   - telemetry's per-resource payload bytes and queue wait;
@@ -22,12 +22,20 @@ const NICRx = numClasses
 //     flight, so the edge's components sum exactly to its arrive − depart
 //     span even though the stages overlap under cut-through pipelining.
 //
+// For the MPI runtime's ranks on the domain it records each sent message's
+// per-communicator telemetry and critical-path sender, blocked waits,
+// analytic collectives' last-arrival edges, each top-level operation's end,
+// and phase spans (see the methods from World on).
+//
 // core.System.Plan builds one probe per engine domain once the engine is
 // fixed and installs it. A probe belongs to one domain, so its methods need
 // no synchronisation.
 type Probe struct {
 	bins *Collector         // nil unless the timeline is on
 	cp   *critpath.Recorder // nil unless critical-path recording is on
+	// mpi is the current MPI world's per-communicator collector; nil
+	// unless telemetry counts and a world is up (World).
+	mpi *telemetry.MPIStats
 
 	// Bytes and Wait are telemetry's payload bytes and queue-wait seconds
 	// per resource, indexed by class and then like the fabric's resource
@@ -100,11 +108,6 @@ func (p *Probe) Memcpy(at float64, bytes int64, overhead, copyTime float64) {
 	}
 }
 
-// LastEdge returns the edge id the most recent Message or Memcpy recorded
-// (0 when none was). The MPI layer reads it right after a delivery to stamp
-// the edge into the matching envelope.
-func (p *Probe) LastEdge() int32 { return p.lastEdge }
-
 // Reserve observes one reservation of resource res of class cl for bytes
 // of payload: requested at req, started at start (start − req is queue
 // wait), held for dur. edge is the message's critical-path edge (0: none).
@@ -174,4 +177,80 @@ func (p *Probe) Stripe(ost int, bytes int64, write bool, at, dur float64) {
 	if p.bins != nil {
 		p.bins.Sample(OST, at, at, at+dur)
 	}
+}
+
+// World readies the probe for a new MPI world: a fresh telemetry collector
+// and the op-class names that label critical-path waits.
+func (p *Probe) World(opNames []string) {
+	if p.Counting() {
+		p.mpi = telemetry.NewMPIStats(opNames, 0)
+	}
+	if p.cp != nil {
+		p.cp.SetClassNames(opNames)
+	}
+}
+
+// Comm registers communicator id of size ranks, so telemetry exports it
+// even if no operation runs on it.
+func (p *Probe) Comm(id, size int) {
+	if p.mpi != nil {
+		p.mpi.Comm(id, size)
+	}
+}
+
+// Sent observes the message rank just handed the fabric on communicator
+// comm inside op class op, and returns the id of the edge its delivery
+// opened (0: none), now stamped with its sender.
+func (p *Probe) Sent(rank, comm, op int, depart float64, bytes int64) int32 {
+	if p.mpi != nil {
+		p.mpi.Message(comm, op, depart, bytes)
+	}
+	if p.lastEdge != 0 {
+		p.cp.Edge(p.lastEdge).SrcRank = int32(rank)
+	}
+	return p.lastEdge
+}
+
+// Blocked observes rank blocked over [start, end) inside op class op,
+// ended as kind says by edge (0: edgeless).
+func (p *Probe) Blocked(rank int, start, end float64, op int, kind critpath.Kind, edge int32) {
+	if p.cp != nil {
+		p.cp.AddWait(rank, start, end, op, kind, edge)
+	}
+}
+
+// Collective opens an analytic collective's last-arrival edge, from rank
+// last's entry at at, and returns its id (0: none).
+func (p *Probe) Collective(at float64, last int) int32 {
+	if p.cp == nil {
+		return 0
+	}
+	id, e := p.cp.StartEdge(critpath.EdgeCollective, at, 0, 0)
+	if e != nil {
+		e.SrcRank = int32(last)
+	}
+	return id
+}
+
+// EndOp observes a top-level op of class op on communicator comm ending
+// after seconds.
+func (p *Probe) EndOp(comm, op int, seconds float64) {
+	if p.mpi != nil {
+		p.mpi.EndOp(comm, op, seconds)
+	}
+}
+
+// Span records rank's phase span name for iteration iter over [start, end).
+func (p *Probe) Span(rank int, name string, iter int, start, end float64) {
+	if p.bins != nil {
+		p.bins.Span(rank, name, iter, start, end)
+	}
+}
+
+// MPIReport exports the current world's MPI telemetry (nil: none).
+func (p *Probe) MPIReport() *telemetry.MPIReport {
+	if p == nil {
+		return nil
+	}
+	return p.mpi.Report()
 }

@@ -4,8 +4,11 @@
 // simulated-time bins and records application-emitted phase spans
 // (compute / halo / collective / ckpt), then joins the two into
 // per-iteration, per-phase resource breakdowns at export time. It also
-// hosts the Probe, the one reservation observer that feeds these bins,
-// telemetry's per-resource counters and the critical-path edge stages.
+// hosts the Probe, the one observer per engine domain that every layer
+// records through: the fabric's and the filesystem's reservations feed
+// these bins, telemetry's per-resource counters and the critical-path
+// edge stages, and the MPI runtime's ranks add their messages, waits,
+// operation ends and phase spans.
 //
 // Where the telemetry package answers "how much, in total", this package
 // answers "when": the paper's findings — CAM/POP load imbalance (§6), the
@@ -16,7 +19,7 @@
 // Design invariants (DESIGN.md §4k):
 //
 //   - Zero cost when disabled: instrumented packages hold one nil-gated
-//     Probe; off, every reservation site pays a single nil check and
+//     Probe; off, every instrumented site pays a single nil check and
 //     allocates nothing (pinned by TestSendRecvZeroAllocsWithTimelineOff).
 //
 //   - Integer-exact accumulation: sample endpoints are converted once to
@@ -116,20 +119,24 @@ type Span struct {
 	EndNs   int64
 }
 
-// Collector accumulates samples for one scheduling domain. In serial runs
-// there is exactly one; under the sharded scheduler each domain worker owns
-// a private Collector and the Recorder folds them after the terminal window
-// barrier. Methods are not safe for concurrent use — each Collector belongs
-// to exactly one worker, which is the whole point.
+// Collector accumulates samples and phase spans for one scheduling
+// domain. In serial runs there is exactly one; under the sharded scheduler
+// each domain worker owns a private Collector and the Recorder folds them
+// after the terminal window barrier. Methods are not safe for concurrent
+// use — each Collector belongs to exactly one worker, which is the whole
+// point.
 type Collector struct {
 	widthNs int64
 	bins    [numClasses][]bin
 	spans   []Span
 	dropped int64
+	// rankSpans is the recorder's per-rank span count, shared by every
+	// domain's collector; each index is touched only by its rank's domain.
+	rankSpans []int32
 }
 
-func newCollector() *Collector {
-	return &Collector{widthNs: baseBinNs}
+func newCollector(rankSpans []int32) *Collector {
+	return &Collector{widthNs: baseBinNs, rankSpans: rankSpans}
 }
 
 // Sample records one reservation of a class-c resource: requested at reqAt,
@@ -211,21 +218,17 @@ func (c *Collector) halve() {
 }
 
 // Recorder is the per-system flight recorder: one Collector per scheduling
-// domain plus the rank-indexed span bookkeeping (each index is touched only
-// by its rank's domain worker, so the slices need no locking).
+// domain, sharing the rank-indexed span counts (each index is touched only
+// by its rank's domain worker, so the slice needs no locking).
 type Recorder struct {
 	doms      []*Collector
-	rankSpans []int32
 	resources [numClasses]int
 }
 
 // NewRecorder creates a recorder for a system of numTasks ranks, starting
 // in serial shape (one collector).
 func NewRecorder(numTasks int) *Recorder {
-	return &Recorder{
-		doms:      []*Collector{newCollector()},
-		rankSpans: make([]int32, numTasks),
-	}
+	return &Recorder{doms: []*Collector{newCollector(make([]int32, numTasks))}}
 }
 
 // SetResources records how many resources class cl has, so exports can
@@ -240,22 +243,22 @@ func (r *Recorder) Dom(i int) *Collector { return r.doms[i] }
 func (r *Recorder) Shard(n int) {
 	r.Fold()
 	for len(r.doms) < n {
-		r.doms = append(r.doms, newCollector())
+		r.doms = append(r.doms, newCollector(r.doms[0].rankSpans))
 	}
 }
 
-// Span records one phase span for rank on domain dom. Spans beyond the
-// per-rank cap are dropped (counted), and because the cap is per rank the
-// drop set is independent of the domain partition.
-func (r *Recorder) Span(dom, rank int, name string, iter int, start, end float64) {
-	if r.rankSpans[rank] >= maxSpansPerRank {
-		r.doms[dom].dropped++
+// Span records one phase span for rank, which runs on this collector's
+// domain. Spans beyond the per-rank cap are dropped (counted), and because
+// the cap is per rank the drop set is independent of the domain partition.
+func (c *Collector) Span(rank int, name string, iter int, start, end float64) {
+	if c.rankSpans[rank] >= maxSpansPerRank {
+		c.dropped++
 		return
 	}
-	r.rankSpans[rank]++
-	r.doms[dom].spans = append(r.doms[dom].spans, Span{
+	c.rankSpans[rank]++
+	c.spans = append(c.spans, Span{
 		Rank:    int32(rank),
-		Seq:     r.rankSpans[rank],
+		Seq:     c.rankSpans[rank],
 		Iter:    int32(iter),
 		Name:    name,
 		StartNs: toNs(start),

@@ -10,7 +10,7 @@ import (
 // TestSampleExactBinning checks that a reservation's wait and busy time land
 // in the right bins with exact integer nanoseconds.
 func TestSampleExactBinning(t *testing.T) {
-	c := newCollector()
+	c := newCollector(nil)
 	// Requested at 50 µs, started at 150 µs (100 µs wait spanning the
 	// boundary of bins 0/1), busy until 250 µs (spanning bins 1/2).
 	c.Sample(Link, 50e-6, 150e-6, 250e-6)
@@ -32,7 +32,7 @@ func TestSampleExactBinning(t *testing.T) {
 // TestHalvePreservesTotals checks the doubling merge conserves every counter,
 // including with an odd bin count.
 func TestHalvePreservesTotals(t *testing.T) {
-	c := newCollector()
+	c := newCollector(nil)
 	// Three bins (odd length): busy in bins 0, 1, 2.
 	c.Sample(NIC, 0, 0, 300e-6)
 	var total int64
@@ -64,7 +64,7 @@ func TestHalvePreservesTotals(t *testing.T) {
 // TestEnsureHalvesPastMaxBins checks that a sample far beyond the current
 // horizon triggers width doubling rather than unbounded growth.
 func TestEnsureHalvesPastMaxBins(t *testing.T) {
-	c := newCollector()
+	c := newCollector(nil)
 	far := float64(maxBins) * 100e-6 * 3 // 3× past the base-width capacity
 	c.Sample(Link, far, far, far+100e-6)
 	if len(c.bins[Link]) > maxBins {
@@ -96,16 +96,16 @@ func TestFoldMatchesSerial(t *testing.T) {
 	for _, s := range stream {
 		serial.Dom(0).Sample(s.cl, s.req, s.from, s.to)
 	}
-	serial.Span(0, 1, "halo", 3, 0.001, 0.002)
-	serial.Span(0, 0, "compute", 3, 0.002, 0.004)
+	serial.Dom(0).Span(1, "halo", 3, 0.001, 0.002)
+	serial.Dom(0).Span(0, "compute", 3, 0.002, 0.004)
 
 	sharded := NewRecorder(4)
 	sharded.Shard(4)
 	for i, s := range stream {
 		sharded.Dom(i%4).Sample(s.cl, s.req, s.from, s.to)
 	}
-	sharded.Span(1, 1, "halo", 3, 0.001, 0.002)
-	sharded.Span(0, 0, "compute", 3, 0.002, 0.004)
+	sharded.Dom(1).Span(1, "halo", 3, 0.001, 0.002)
+	sharded.Dom(0).Span(0, "compute", 3, 0.002, 0.004)
 	sharded.Fold()
 
 	a, b := serial.Dom(0), sharded.Dom(0)
@@ -141,9 +141,9 @@ func TestFoldMatchesSerial(t *testing.T) {
 func TestSpanCapPerRank(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < maxSpansPerRank+7; i++ {
-		r.Span(0, 0, "compute", i, float64(i), float64(i)+0.5)
+		r.Dom(0).Span(0, "compute", i, float64(i), float64(i)+0.5)
 	}
-	r.Span(0, 1, "halo", 0, 0, 1) // other rank unaffected by rank 0's cap
+	r.Dom(0).Span(1, "halo", 0, 0, 1) // other rank unaffected by rank 0's cap
 	c := r.Dom(0)
 	if got := len(c.spans); got != maxSpansPerRank+1 {
 		t.Fatalf("retained spans = %d, want %d", got, maxSpansPerRank+1)
@@ -161,10 +161,10 @@ func TestCapDropsExcess(t *testing.T) {
 	r := NewRecorder(2)
 	r.Shard(2)
 	for i := 0; i < maxSpansPerRank+5; i++ {
-		r.Span(i%2, 0, "compute", i, float64(i), float64(i)+0.5)
+		r.Dom(i%2).Span(0, "compute", i, float64(i), float64(i)+0.5)
 	}
 	for i := 0; i < 3; i++ {
-		r.Span(1, 1, "halo", i, float64(i), float64(i)+0.25)
+		r.Dom(1).Span(1, "halo", i, float64(i), float64(i)+0.25)
 	}
 	rep := r.Report(float64(maxSpansPerRank + 5))
 	if rep.Spans != maxSpansPerRank+3 || rep.DroppedSpans != 5 {
@@ -200,9 +200,9 @@ func TestReportDeterministic(t *testing.T) {
 			at := float64(i) * 1e-4
 			r.Dom(0).Sample(Link, at, at+1e-6, at+5e-5)
 		}
-		r.Span(0, 0, "compute", 0, 0, 1e-3)
-		r.Span(0, 1, "halo", 0, 5e-4, 2e-3)
-		r.Span(0, 2, "halo", 1, 2e-3, 3e-3)
+		r.Dom(0).Span(0, "compute", 0, 0, 1e-3)
+		r.Dom(0).Span(1, "halo", 0, 5e-4, 2e-3)
+		r.Dom(0).Span(2, "halo", 1, 2e-3, 3e-3)
 		return r
 	}
 	for _, exp := range []struct {
@@ -232,8 +232,8 @@ func TestIterBreakdownJoin(t *testing.T) {
 	// Link busy for the whole first bin.
 	r.Dom(0).Sample(Link, 0, 0, 100e-6)
 	// Two overlapping halo spans covering the first half of the bin.
-	r.Span(0, 0, "halo", 0, 0, 30e-6)
-	r.Span(0, 1, "halo", 0, 20e-6, 50e-6)
+	r.Dom(0).Span(0, "halo", 0, 0, 30e-6)
+	r.Dom(0).Span(1, "halo", 0, 20e-6, 50e-6)
 	rep := r.Report(100e-6)
 	if len(rep.Iterations) != 1 {
 		t.Fatalf("iterations = %d, want 1", len(rep.Iterations))
@@ -267,9 +267,9 @@ func close6(a, b float64) bool {
 func TestDominantPhases(t *testing.T) {
 	r := NewRecorder(3)
 	r.Dom(0).Sample(Link, 0, 0, 200e-6)
-	r.Span(0, 0, "halo", 0, 0, 80e-6)          // 80 µs halo in bin 0
-	r.Span(0, 1, "compute", 0, 0, 60e-6)       // 60 µs compute in bin 0
-	r.Span(0, 2, "compute", 0, 100e-6, 150e-6) // bin 1: compute only
+	r.Dom(0).Span(0, "halo", 0, 0, 80e-6)          // 80 µs halo in bin 0
+	r.Dom(0).Span(1, "compute", 0, 0, 60e-6)       // 60 µs compute in bin 0
+	r.Dom(0).Span(2, "compute", 0, 100e-6, 150e-6) // bin 1: compute only
 	rep := r.Report(200e-6)
 	if len(rep.Phases) != 2 {
 		t.Fatalf("phase annotations = %d, want 2 (%+v)", len(rep.Phases), rep.Phases)
@@ -310,8 +310,8 @@ func ExampleClassName() {
 // chromeSample is a two-rank report whose spans arrive out of rank order.
 func chromeSample() *Report {
 	r := NewRecorder(2)
-	r.Span(0, 1, "compute", 0, 0.5, 1.0)
-	r.Span(0, 0, "Recv", 0, 0, 0.25)
+	r.Dom(0).Span(1, "compute", 0, 0.5, 1.0)
+	r.Dom(0).Span(0, "Recv", 0, 0, 0.25)
 	return r.Report(1)
 }
 
