@@ -14,8 +14,8 @@
 //	xtsim -run congestion -telemetry include the telemetry JSON export
 //	xtsim -run critpath -critpath    include the critical-path JSON exports
 //	xtsim -run ext-petascale         full-machine S3D on the hybrid fast path
-//	xtsim -run fig9 -hybrid exact    request the hybrid fast path (output is
-//	                                 byte-identical: exact or fall back to DES)
+//	xtsim -run ext-petascale -hybrid analytic  closed-form hybrid tier on
+//	                                 every cell (the table reports its error)
 //	xtsim -run ext-ckpt -ckpt-every 2  checkpoint-interference study at a
 //	                                 different epoch cadence
 //	xtsim -run ext-timeline -timeline  phase-resolved flight recorder with
@@ -59,7 +59,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
 	tel := flag.Bool("telemetry", false, "attach the telemetry JSON export to experiments that collect it (e.g. congestion)")
 	cp := flag.Bool("critpath", false, "attach the critical-path JSON exports to experiments that record causal graphs (e.g. critpath)")
-	hybrid := flag.String("hybrid", "", "hybrid rank fast path: 'exact' requests the bit-identical tier on ext-petascale and fig8-11 (output unchanged), 'analytic' the closed-form tier on ext-petascale only, 'off' forces the event-driven engine everywhere, empty keeps per-experiment defaults")
+	hybrid := flag.String("hybrid", "", "hybrid rank fast path for ext-petascale's cells, the only experiment it reaches: 'exact' requests the bit-identical tier on every cell, 'analytic' the closed-form tier, 'off' runs only the event-driven reference, empty keeps each cell's tier")
 	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint cadence in steps for checkpoint-aware experiments (ext-ckpt); 0 keeps each experiment's default")
 	tline := flag.Bool("timeline", false, "attach the phase-resolved timeline JSON export to experiments that record it (e.g. ext-timeline)")
 	serveAddr := flag.String("serve", "", "run as a campaign server on this address (e.g. 127.0.0.1:8973); see API.md")

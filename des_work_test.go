@@ -52,6 +52,6 @@ var desWork = []desRow{
 	{"ext-io", 14318, 0},
 	{"ext-ckpt", 169567, 0},
 	{"ext-parallel", 28416, 198},
-	{"ext-petascale", 254544, 0},
+	{"ext-petascale", 266664, 0},
 	{"ext-timeline", 34992, 198},
 }

@@ -1,10 +1,13 @@
 package core
 
 // Hybrid rank execution (DESIGN.md §4i): a run admitted to hybrid mode
-// skips coroutine-per-rank discrete-event scheduling entirely — every rank
-// advances a private clock through closed-form pricing of its compute and
+// skips discrete-event timing entirely — every rank advances a private
+// clock (HybClock) through closed-form pricing of its compute and
 // communication, meeting the other ranks only at matching and collective
-// points. The tier decides how conservative the pricing is:
+// points. Run still spawns each rank as a coroutine, on a private engine
+// whose clock stays at 0: it is only a deterministic FIFO run queue that
+// switches to a rank when a deposit or a collective's last arrival wakes
+// it. The tier decides how conservative the pricing is:
 //
 //   - HybridExact prices every transfer with the same reservation
 //     arithmetic the DES fabric uses, tracking link/NIC busy state in a
@@ -21,7 +24,7 @@ package core
 // run observes anything its ledger cannot prove (a link touched by two
 // ranks), the whole run aborts before any result is produced and re-runs
 // under the full DES — "promoted to DES before any timing divergence".
-// `-hybrid=off` (the default) bypasses all of this.
+// A system that never calls EnableHybrid bypasses all of this.
 
 // HybridTier selects the hybrid fast-path flavour.
 type HybridTier int
@@ -103,15 +106,6 @@ func (s *System) HybridReason() string {
 		return s.declined(e)
 	}
 	return s.hybReason
-}
-
-// HybridRank builds a rank execution context for the hybrid fast path:
-// the same placement and cost-model surface as a DES rank, but driven by
-// a private HybClock instead of a sim.Proc. Used by the MPI hybrid
-// runtime; application code sees an ordinary *Rank.
-func (s *System) HybridRank(id int) *Rank {
-	node, coreIdx := s.Place(id)
-	return &Rank{sys: s, ID: id, NodeID: node, Core: coreIdx, hc: &HybClock{}}
 }
 
 // HybClock returns the rank's hybrid clock, nil for DES ranks.

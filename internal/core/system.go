@@ -294,7 +294,10 @@ func (s *System) TaskMemBytes() int64 {
 
 // Rank is one MPI task's execution context inside the simulation.
 type Rank struct {
-	sys  *System
+	sys *System
+	// Proc is the rank's process: on the DES it lives on its node's
+	// engine; on the hybrid fast path it is a coroutine on the run's
+	// private run queue, whose clock never moves (see hybrid.go).
 	Proc *sim.Proc
 	// ID is the MPI rank.
 	ID int
@@ -308,23 +311,40 @@ type Rank struct {
 
 // Run spawns body for every task and runs the simulation to completion,
 // returning the simulated makespan in seconds. The first Run (or
-// mpi.NewWorld) plans the engine; later ones re-check it (see Plan).
+// mpi.NewWorld) plans the engine; later ones re-check it (see Plan). On
+// the hybrid fast path the makespan is the latest rank clock.
 func (s *System) Run(body func(r *Rank)) sim.Time {
 	s.Plan(false)
+	var hyb *sim.Engine
+	var hybEnd sim.Time
+	if s.hybTier != HybridOff {
+		hyb = sim.NewEngine()
+	}
 	for t := 0; t < s.NumTasks; t++ {
 		node, coreIdx := s.Place(t)
 		r := &Rank{sys: s, ID: t, NodeID: node, Core: coreIdx}
 		// In parallel mode each rank lives on its node's slab engine; in
 		// serial mode EngFor is the system engine for every node.
-		s.EngFor(node).Spawn(fmt.Sprintf("rank%d", t), func(p *sim.Proc) {
+		eng := s.EngFor(node)
+		if hyb != nil {
+			eng, r.hc = hyb, &HybClock{}
+		}
+		eng.Spawn(fmt.Sprintf("rank%d", t), func(p *sim.Proc) {
 			r.Proc = p
 			body(r)
+			if r.hc != nil && r.hc.T > hybEnd {
+				hybEnd = r.hc.T
+			}
 			if s.cp != nil {
 				// The analyzer starts its backward walk at the
 				// latest-finishing rank and counts trailing idle as slack.
 				s.cp.SetFinish(r.ID, p.Now())
 			}
 		})
+	}
+	if hyb != nil {
+		hyb.Run()
+		return hybEnd
 	}
 	if s.par != nil {
 		end := s.par.sh.Run()

@@ -76,15 +76,14 @@ type Options struct {
 	// `xtsim -critpath`. It composes with Telemetry — both exports can
 	// ride on one run. The attribution tables appear either way.
 	CritPath bool `json:"critpath"`
-	// Hybrid selects the hybrid rank fast path (DESIGN.md §4i), set by
-	// `xtsim -hybrid`. "" leaves each experiment's default in place
-	// (ext-petascale engages the fast path per cell, everything else runs
-	// the DES); "off" forces the DES everywhere. "exact" requests the
-	// bit-identical tier on ext-petascale's cells and the global HPCC
-	// sweeps (fig8–11); admission may decline it and it may abort back to
-	// the DES mid-run, so those tables never change. "analytic" requests
-	// the closed-form tier on ext-petascale's cells only, whose deviation
-	// column reports it; no byte-identical table ever runs it.
+	// Hybrid selects the hybrid rank fast path (DESIGN.md §4i) on
+	// ext-petascale's cells, the only experiment it reaches; set by
+	// `xtsim -hybrid`. "" keeps each cell's tier (exact on the SN cells,
+	// analytic on the VN cell), "off" runs only the DES reference,
+	// "exact" requests the bit-identical tier on every cell (admission
+	// declines it on the VN cell) and "analytic" the closed-form tier,
+	// whose deviation column reports it. Every other experiment runs the
+	// DES whatever the value.
 	Hybrid string `json:"hybrid"`
 	// CkptEvery overrides the checkpoint cadence (steps between checkpoint
 	// epochs) of checkpoint-aware experiments (ext-ckpt), set by `xtsim

@@ -215,14 +215,12 @@ func runGlobal(res *Result, o Options, metric string, bench func(*core.System) h
 	// Every (machine, mode, scale) cell is an independent system, so the
 	// sweep is evaluated through runCells, on whatever slots of the
 	// campaign's worker budget are idle; results are assembled by index,
-	// so the rendered table is byte-identical for any -jobs value. The
-	// system is built here (not inside the kernel) so -hybrid exact
-	// reaches these sweeps; output stays byte-identical for any Hybrid
-	// value because only the exact tier is requested, and it either
-	// reproduces the DES bit for bit or aborts back to it. The analytic
-	// tier's uncontended closed form would rewrite these tables (fig10's
-	// 64-socket XT4-VN PTRANS read 4.5× the DES value), so it is never
-	// requested here.
+	// so the rendered table is byte-identical for any -jobs value. No
+	// -hybrid tier reaches these sweeps: the exact tier never engages on
+	// them (every SN cell's all-to-all traffic shares links and aborts to
+	// the DES, every VN cell is declined), and the analytic tier's
+	// uncontended closed form would rewrite the tables (fig10's 64-socket
+	// XT4-VN PTRANS read 4.5× the DES value).
 	scales := globalScales(o)
 	type cellCfg struct {
 		m    machine.Machine
@@ -239,9 +237,6 @@ func runGlobal(res *Result, o Options, metric string, bench func(*core.System) h
 	results := make([]hpcc.GlobalResult, len(cells))
 	runCells(res, len(cells), func(i int) {
 		sys := core.NewSystem(cells[i].m, cells[i].mode, cells[i].n)
-		if o.Hybrid == "exact" {
-			sys.EnableHybrid(core.HybridExact)
-		}
 		if o.Timeline {
 			// Flight recorder on, export unused: the rendered table stays
 			// byte-identical, which is what lets BenchmarkFig9Timeline* price

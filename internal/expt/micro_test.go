@@ -3,9 +3,8 @@ package expt
 import "testing"
 
 // TestGlobalSweepsIgnoreHybridTier pins the -hybrid contract on the global
-// HPCC sweeps: fig8–11 render the same bytes with no tier requested, with
-// the exact tier (bit-identical, or aborted back to the DES) and with the
-// analytic tier, which these tables never run.
+// HPCC sweeps: no tier reaches them, so fig8–11 render the same bytes with
+// no tier requested, with `exact` and with `analytic`.
 func TestGlobalSweepsIgnoreHybridTier(t *testing.T) {
 	for _, id := range []string{"fig8", "fig9", "fig10", "fig11"} {
 		want := renderExpt(t, id, Options{Short: true})

@@ -250,3 +250,19 @@ func TestHybridAdmission(t *testing.T) {
 		t.Fatalf("system should stay on the DES")
 	}
 }
+
+// TestHybridDeadlockPanics: a hybrid program whose receive can never be
+// matched ends with the engine's deadlock diagnostic on Run's caller, as
+// on the DES, instead of hanging.
+func TestHybridDeadlockPanics(t *testing.T) {
+	sys := newSys(4, machine.SN)
+	sys.EnableHybrid(core.HybridExact)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		Run(sys, Auto, func(p *P) { p.Recv((p.Rank()+1)%p.Size(), 0) })
+		return nil
+	}()
+	if msg, _ := got.(string); !strings.HasPrefix(msg, "sim: deadlock: 4 process(es) blocked") {
+		t.Fatalf("Run panicked with %v, want the engine's deadlock diagnostic", got)
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"xtsim/internal/core"
 	"xtsim/internal/critpath"
@@ -114,21 +113,19 @@ type World struct {
 	SentMsgs  uint64
 	SentBytes uint64
 
-	// hyb is the hybrid fast-path run state, nil for DES worlds (see
-	// hybrid.go); newComm uses it to wire member views for hybrid matching,
-	// and meet to give each collective a channel to park on.
-	hyb *hybRun
-
-	// mu serialises communicator creation: hybrid ranks of different
-	// communicators can Split concurrently.
-	mu sync.Mutex
+	// sess prices a hybrid world's sends, nil for DES worlds; newComm gives
+	// its members pending lists, and horizon is the latest arrival time a
+	// send booked (see hybrid.go).
+	sess    *network.HybridSession
+	horizon sim.Time
 }
 
 // NewWorld creates the runtime for sys, planning its engine if no earlier
 // call did (core.System.Plan). Each domain pool takes the probe the plan
 // installed in that domain's fabric ledger, readied for this world (a
 // fresh telemetry collector, the OpClass names): every rank records
-// through it.
+// through it. On the hybrid fast path the world opens the session that
+// prices its sends.
 func NewWorld(sys *core.System) *World {
 	sys.Plan(false)
 	w := &World{sys: sys, pools: make([]wpool, sys.NumDomains())}
@@ -137,6 +134,9 @@ func NewWorld(sys *core.System) *World {
 			pr.World(opNames())
 			w.pools[i].probe = pr
 		}
+	}
+	if tier := sys.HybridTier(); tier != core.HybridOff {
+		w.sess = sys.Fabric.BeginHybrid(tier == core.HybridExact)
 	}
 	return w
 }
@@ -152,9 +152,7 @@ type Comm struct {
 	members []*P // local-rank-indexed views, for shared-state coordination
 
 	// meets holds the communicator's shared-state collectives, indexed by
-	// collective sequence number; mu guards it and every meet in it, since
-	// hybrid ranks arrive from concurrent goroutines.
-	mu    sync.Mutex
+	// collective sequence number.
 	meets []*meet
 }
 
@@ -184,10 +182,9 @@ type P struct {
 	// this rank's node lives in (the world's only pool in serial mode).
 	pool *wpool
 
-	// hyb and hybV are this rank's hybrid fast-path context and pending
-	// message view; nil on the DES (see hybrid.go).
-	hyb  *hybTask
-	hybV *hybView
+	// hyb is this rank's pending-message list on the hybrid fast path, nil
+	// on the DES (see hybrid.go).
+	hyb *hybView
 
 	// curIter is the application-declared iteration label (SetIter),
 	// stamped onto timeline phase spans; meaningless while the flight
@@ -208,23 +205,44 @@ func Run(sys *core.System, mode CollectiveMode, body func(p *P)) sim.Time {
 	// this run will use them — Analytic mode, or Auto past the threshold —
 	// the engine plan says so (DESIGN.md §4l).
 	sys.Plan(mode == Analytic || (mode == Auto && sys.NumTasks > AnalyticThreshold))
-	// Hybrid fast path (DESIGN.md §4i): when planned, every rank runs on a
-	// private clock with session-priced transfers. An exact-tier abort
-	// leaves the fabric untouched, so the DES below starts pristine.
-	if sys.HybridEnabled() {
-		if end, ok := tryHybrid(sys, mode, body); ok {
-			return end
-		}
+	end, ok := run(sys, mode, body)
+	if !ok { // an exact-tier hybrid run aborted; the DES runs it instead
+		end, _ = run(sys, mode, body)
 	}
+	return end
+}
+
+// run executes body once on every rank of sys, on the runtime its engine
+// plan chose, and returns the makespan. ok=false means an exact-tier
+// hybrid run aborted (DESIGN.md §4i): sys is back on the DES with its
+// fabric untouched (the session ledger is private and counters commit
+// only on success), so the caller re-runs the body there. Any other
+// panic reaches the caller, as the DES raises a process panic.
+func run(sys *core.System, mode CollectiveMode, body func(p *P)) (end sim.Time, ok bool) {
 	w := NewWorld(sys)
 	w.CollMode = mode
 	comm := w.newComm(identity(sys.NumTasks))
-	end := sys.Run(func(r *core.Rank) {
+	if w.sess != nil {
+		defer func() {
+			if violated, why := w.sess.Violated(); violated {
+				recover() // the hybAbort that unwound the run
+				sys.AbortHybrid(why)
+				end, ok = 0, false
+			}
+		}()
+	}
+	end = sys.Run(func(r *core.Rank) {
 		body(comm.view(r))
 	})
+	if w.sess != nil {
+		// The DES makespan is the last event's time, which includes the
+		// arrivals of messages delivered but never consumed.
+		end = max(end, w.horizon)
+		w.sess.Commit()
+	}
 	w.FoldStats()
 	w.Finalize()
-	return end
+	return end, true
 }
 
 // Finalize releases run-lifetime matching and scratch state: every
@@ -266,7 +284,6 @@ func identity(n int) []int {
 }
 
 func (w *World) newComm(group []int) *Comm {
-	w.mu.Lock()
 	w.comms++
 	c := &Comm{w: w, id: w.comms, group: group}
 	w.allComms = append(w.allComms, c)
@@ -275,7 +292,6 @@ func (w *World) newComm(group []int) *Comm {
 			pr.Comm(c.id, len(group))
 		}
 	}
-	w.mu.Unlock()
 	// The world communicator's group is the identity permutation, so the
 	// reverse map would just repeat the index; leaving it nil saves tens of
 	// bytes per rank at paper scale (view falls back to rank == id).
@@ -292,12 +308,16 @@ func (w *World) newComm(group []int) *Comm {
 	// One backing slab for all member views: at 23k ranks, per-object
 	// allocation rounding on the P struct alone is measurable.
 	ps := make([]P, len(group))
+	var views []hybView
+	if w.sess != nil {
+		views = make([]hybView, len(group))
+	}
 	c.members = make([]*P, len(group))
 	for lr, g := range group {
 		node, _ := w.sys.Place(g)
 		ps[lr] = P{c: c, me: lr, pool: &w.pools[w.sys.DomainOf(node)]}
-		if w.hyb != nil {
-			ps[lr].hybV = &hybView{}
+		if views != nil {
+			ps[lr].hyb = &views[lr]
 		}
 		c.members[lr] = &ps[lr]
 		if c.index != nil {
@@ -536,19 +556,12 @@ func (p *P) waitOne(r *Request) {
 	if p.hyb != nil {
 		// Hybrid sends complete at creation with their injection time
 		// attached; the DES would block the proc until the injection event,
-		// so resume-at-injection becomes a clock advance (max covers the
-		// already-past case where the DES does not move either).
-		if r.ready > p.hyb.clk.T {
-			p.hyb.clk.T = r.ready
+		// so resume-at-injection becomes a clock advance (the comparison
+		// covers the already-past case where the DES does not move either).
+		if clk := p.task.HybClock(); r.ready > clk.T {
+			clk.T = r.ready
 		}
-		if !r.recycled {
-			r.recycled = true
-			r.next = p.freeReqs
-			p.freeReqs = r
-		}
-		return
-	}
-	if pr := p.pool.probe; pr != nil && !r.done {
+	} else if pr := p.pool.probe; pr != nil && !r.done {
 		t0 := p.task.Now()
 		for !r.done {
 			r.cond.Await(p.task.Proc)
@@ -572,8 +585,8 @@ func (p *P) waitOne(r *Request) {
 // at the finish. It carries the analytic collectives' closed-form timing
 // and the data that rides on shared state instead of messages (root
 // shares, reductions, Scan prefixes, Split's groups). Both runtimes use
-// the same meet; only how a non-last arriver parks and how its clock
-// reaches the finish depend on the runtime.
+// the same meet, and in both a non-last arriver parks on its condition;
+// only how a rank's clock reaches the finish depends on the runtime.
 type meet struct {
 	arrived int
 	// maxAt is the latest entry time and maxRank the rank that made it;
@@ -592,24 +605,22 @@ type meet struct {
 	// critical-path recording is off or the edge was dropped at the cap).
 	edge int32
 
-	cond sim.Condition // DES: non-last arrivers park here
-	done chan struct{} // hybrid path: closed at the last arrival
+	cond sim.Condition // non-last arrivers park here
 }
 
 // meet runs the calling rank's arrival at the next shared-state collective
 // on its communicator. MPI semantics require all ranks to invoke
 // collectives in the same order, which makes the per-rank collective
-// sequence number a safe key. arrive runs under the communicator lock as
-// the rank arrives; last runs once, at the last arrival, before the finish
-// is published.
+// sequence number a safe key. arrive runs as the rank arrives; last runs
+// once, at the last arrival, before the waiters are woken.
 //
 // The latest entry prices the collective with its cost closure; a nil cost
 // finishes at the latest entry. On an exact time tie the later arrival
 // wins on the DES (procs arrive in time order, so the last arriver holds
-// the latest entry) and the higher rank on the hybrid path, where arrival
-// order is a goroutine race. Every rank leaves with its clock at the
-// finish; a cost-free meet adds no DES event, because the DES ranks resume
-// at the last arrival's time already.
+// the latest entry) and the higher rank on the hybrid path, where ranks
+// arrive in run-queue order, not in simulated-time order. Every rank
+// leaves with its clock at the finish; a cost-free meet adds no DES event,
+// because the DES ranks resume at the last arrival's time already.
 func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
 	c := p.c
 	if c.w.sys.ParallelEnabled() {
@@ -621,13 +632,8 @@ func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
 		panic("mpi: shared-state collective coordination under the parallel scheduler; run this workload serially")
 	}
 	now := p.task.Now()
-	c.mu.Lock()
 	for len(c.meets) <= p.collSeq {
-		m := &meet{}
-		if c.w.hyb != nil {
-			m.done = make(chan struct{})
-		}
-		c.meets = append(c.meets, m)
+		c.meets = append(c.meets, &meet{})
 	}
 	m := c.meets[p.collSeq]
 	p.collSeq++
@@ -639,16 +645,7 @@ func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
 	}
 	m.arrived++
 	if m.arrived < len(c.group) {
-		c.mu.Unlock()
-		if p.hyb == nil {
-			m.cond.Await(p.task.Proc)
-		} else {
-			select {
-			case <-m.done:
-			case <-p.hyb.run.abort:
-				panic(hybAbort{})
-			}
-		}
+		m.cond.Await(p.task.Proc)
 	} else {
 		if last != nil {
 			last(m)
@@ -657,15 +654,10 @@ func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
 		if m.cost != nil {
 			m.finish += m.cost()
 		}
-		c.mu.Unlock()
-		if p.hyb == nil {
-			m.cond.Broadcast()
-		} else {
-			close(m.done)
-		}
+		m.cond.Broadcast()
 	}
 	if p.hyb != nil {
-		p.hyb.clk.T = m.finish
+		p.task.HybClock().T = m.finish
 	} else if m.cost != nil {
 		p.task.Proc.WaitUntil(m.finish)
 	}
@@ -1161,9 +1153,7 @@ func (p *P) Split(color, key int) *P {
 		m.keys = nil
 	})
 	// A cheap synchronisation cost: Split is typically done once at setup.
-	v := m.comms[color].view(p.task)
-	v.hyb = p.hyb
-	return v
+	return m.comms[color].view(p.task)
 }
 
 // splitKey is one rank's Split contribution.

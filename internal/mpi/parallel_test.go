@@ -188,3 +188,27 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestMeetRefusedUnderParallelScheduler pins the one guard that keeps
+// meets single-threaded now that no lock protects a communicator's meets
+// or the world's communicator list: a Split under the sharded scheduler
+// panics on Run's caller instead of letting two domain workers arrive at
+// one meet.
+func TestMeetRefusedUnderParallelScheduler(t *testing.T) {
+	sys := core.NewSystem(machine.XT4(), machine.SN, 64)
+	if !sys.EnableParallel(2) {
+		t.Fatalf("EnableParallel(2) declined: %s", sys.ParallelReason())
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		Run(sys, Algorithmic, func(p *P) { p.Split(p.Rank()%2, p.Rank()) })
+		return nil
+	}()
+	const want = "mpi: shared-state collective coordination under the parallel scheduler; run this workload serially"
+	if got != want {
+		t.Fatalf("Split under EnableParallel(2) panicked with %v, want %q", got, want)
+	}
+	if !sys.ParallelEnabled() {
+		t.Fatalf("the sharded engine must have run: %s", sys.ParallelReason())
+	}
+}

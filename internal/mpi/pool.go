@@ -17,8 +17,8 @@ import (
 
 // wpool is one scheduling domain's private pool, send counters and
 // observer probe. Each is touched only by that domain's worker goroutine
-// (serial mode: the one engine goroutine); the trailing pad keeps adjacent
-// domains' hot fields off one cache line.
+// (serial and hybrid runs: the one engine's); the trailing pad keeps
+// adjacent domains' hot fields off one cache line.
 type wpool struct {
 	freeFlights *flight
 	freeSlots   *matchSlot
@@ -121,11 +121,6 @@ func (p *P) clonePayload(d []float64) []float64 {
 // application (Bcast data, Allreduce unfold results, user-level Recv)
 // simply leave the pool.
 func (p *P) releasePayload(s []float64) {
-	if p.hyb != nil {
-		// Hybrid ranks run on concurrent goroutines and payloads are
-		// private clones; the shared domain pool is off limits there.
-		return
-	}
 	if cap(s) > 0 {
 		p.pool.payload = append(p.pool.payload, s[:0])
 	}

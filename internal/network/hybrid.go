@@ -1,8 +1,6 @@
 package network
 
 import (
-	"sync"
-
 	"xtsim/internal/machine"
 	"xtsim/internal/sim"
 )
@@ -19,12 +17,6 @@ import (
 type HybridSession struct {
 	f     *Fabric
 	exact bool
-
-	// mu serialises pricing: ranks call Price concurrently from their own
-	// goroutines. One mutex is deliberate — the hybrid win is skipping the
-	// event heap and process switching, not lock-free pricing, and a
-	// single lock keeps the ledger and route cache trivially consistent.
-	mu sync.Mutex
 
 	// led is the session's ledger: in the exact tier, private copies of
 	// every link and injection port plus their single-owner claims; in the
@@ -51,8 +43,9 @@ func (f *Fabric) BeginHybrid(exact bool) *HybridSession {
 }
 
 // hybridViolationReason is the one fallback reason an exact session ever
-// reports: which link tripped the ledger first depends on goroutine
-// schedule, so a stable generic string keeps the fallback deterministic.
+// reports: a generic string, not the link that tripped the ledger, so the
+// reason does not depend on which rank the run queue happened to run
+// first.
 const hybridViolationReason = "link ownership violation (routes of concurrent ranks share a link)"
 
 // Price computes the timeline of msg departing at time at from the given
@@ -66,8 +59,6 @@ const hybridViolationReason = "link ownership violation (routes of concurrent ra
 // (b) the arithmetic is the DES's own route walk, not a replay of it.
 // Exact admission is SN-only, so the walk's VN stages never run here.
 func (s *HybridSession) Price(at sim.Time, msg Msg, rank int) (tl Timeline, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.led.violated {
 		return Timeline{}, false
 	}
@@ -91,8 +82,8 @@ func (s *HybridSession) Price(at sim.Time, msg Msg, rank int) (tl Timeline, ok b
 // priceAnalytic is deliverRemote with every reservation granted at its
 // request time (idle network): the closed form the analytic collective
 // model is built on, extended with the VN mediation/proxy terms on both
-// sides. It is deterministic regardless of rank schedule because nothing
-// depends on ledger state.
+// sides. Nothing depends on ledger state, so it prices a transfer the
+// same whatever ranks ran before it.
 func (s *HybridSession) priceAnalytic(at sim.Time, msg Msg) Timeline {
 	f := s.f
 	nic := f.M.NIC
@@ -136,8 +127,6 @@ func (s *HybridSession) priceAnalytic(at sim.Time, msg Msg) Timeline {
 // Violated reports whether the exact ledger observed shared ownership, and
 // the stable fallback reason.
 func (s *HybridSession) Violated() (bool, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.led.violated {
 		return true, hybridViolationReason
 	}

@@ -99,7 +99,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			Short:     "bool — reduced-scale quick run (drops extreme-scale sweep points, keeps shapes)",
 			Telemetry: "bool — attach the telemetry JSON export to experiments that collect it",
 			CritPath:  "bool — attach the critical-path JSON exports to experiments that record causal graphs",
-			Hybrid:    "string — hybrid rank fast path: \"exact\" requests the bit-identical tier on ext-petascale and fig8–11 (output unchanged), \"analytic\" the closed-form tier on ext-petascale only, \"off\" forces the event-driven engine, \"\" keeps per-experiment defaults",
+			Hybrid:    "string — hybrid rank fast path for ext-petascale's cells, the only experiment it reaches: \"exact\" requests the bit-identical tier on every cell, \"analytic\" the closed-form tier, \"off\" runs only the event-driven reference, \"\" keeps each cell's tier",
 			CkptEvery: "int — checkpoint cadence in steps for checkpoint-aware experiments (ext-ckpt); 0 keeps each experiment's default, negative is rejected",
 			Timeline:  "bool — attach the phase-resolved timeline JSON export to experiments that record it (ext-timeline)",
 		},

@@ -301,14 +301,19 @@ func (e *Engine) unpark(p *Proc) {
 // Run panics if, when the queue drains, some spawned processes are still
 // blocked: that is a deadlock in the simulated program (for example an MPI
 // Recv with no matching Send), and reporting it loudly beats returning a
-// silently truncated result.
+// silently truncated result. Whatever panic ends a run, every process that
+// has not finished is released before it reaches the caller.
 func (e *Engine) Run() Time {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
 	startCount := e.EventsExecuted
+	completed := false
 	defer func() {
+		if !completed {
+			e.release()
+		}
 		e.running = false
 		totalEvents.Add(e.EventsExecuted - startCount)
 	}()
@@ -328,7 +333,22 @@ func (e *Engine) Run() Time {
 		sort.Strings(names)
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events (e.g. %v)", e.blocked, names))
 	}
+	completed = true
 	return e.now
+}
+
+// release unwinds every process that has not finished (parked, runnable,
+// or spawned and never started) when a panic ends the run; otherwise each
+// would stay a live coroutine for the rest of the program.
+func (e *Engine) release() {
+	for p := e.parkedHead; p != nil; p = p.nextParked {
+		p.release()
+	}
+	for _, ev := range e.queue.ev {
+		if ev.proc != nil {
+			ev.proc.release()
+		}
+	}
 }
 
 // step pops and dispatches the single earliest event. Callers must have

@@ -3,7 +3,9 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -211,6 +213,48 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestPanicReleasesUnfinishedProcs: before a process panic leaves Run,
+// every process that has not finished is released — parked on a
+// condition, woken but not yet resumed, waiting on a timer, and spawned
+// but never started — none runs past its block point, and each one's
+// coroutine is gone once Run has returned.
+func TestPanicReleasesUnfinishedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	var c Condition
+	resumed := 0
+	for i := 0; i < 10; i++ {
+		e.Spawn("parked", func(p *Proc) { c.Await(p); resumed++ })
+		e.Spawn("timer", func(p *Proc) { p.Wait(1); resumed++ })
+	}
+	e.Spawn("bomb", func(p *Proc) {
+		p.Wait(0.5)
+		for i := 0; i < 10; i++ {
+			e.Spawn("unstarted", func(*Proc) { resumed++ })
+		}
+		c.Broadcast()
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		e.Run()
+	}()
+	if resumed != 0 {
+		t.Fatalf("%d released bodies ran past their block point", resumed)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > base {
+		t.Fatalf("%d goroutines after the run, %d before", g, base)
+	}
 }
 
 // TestNaNTimesPanic checks every scheduling entry point refuses a NaN

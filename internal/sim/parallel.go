@@ -197,7 +197,8 @@ func (s *ShardedEngine) worker(i int) {
 // Run executes the whole sharded simulation and returns the final
 // simulated time (the maximum over domains). Like Engine.Run it panics if
 // processes remain blocked once every queue drains, aggregating the parked
-// processes of all domains into the diagnostic.
+// processes of all domains into the diagnostic, and it releases every
+// domain's unfinished processes whatever panic ends the run.
 func (s *ShardedEngine) Run() Time {
 	if s.ran {
 		panic("sim: ShardedEngine.Run called twice")
@@ -227,6 +228,16 @@ func (s *ShardedEngine) Run() Time {
 	defer func() {
 		for i := range s.req {
 			close(s.req[i])
+		}
+	}()
+	// A panic ends the run while every worker waits for its next window, so
+	// the domains' unfinished processes can be released from here.
+	completed := false
+	defer func() {
+		if !completed {
+			for _, e := range s.engs {
+				e.release()
+			}
 		}
 	}()
 
@@ -298,6 +309,7 @@ func (s *ShardedEngine) Run() Time {
 			end = e.now
 		}
 	}
+	completed = true
 	return end
 }
 

@@ -17,10 +17,12 @@ type Proc struct {
 	name string
 
 	// next resumes the body until it blocks or returns; suspend hands
-	// control back from the body. Both are nil once the body has returned,
-	// so a finished process pins no coroutine state.
+	// control back from the body; stop unwinds a body that will never be
+	// resumed (release). All three are nil once the body has returned, so a
+	// finished process pins no coroutine state.
 	next    func() (struct{}, bool)
 	suspend func(struct{}) bool
+	stop    func()
 
 	// parked plus the intrusive list links are the engine's blocked-process
 	// bookkeeping (see Engine.park/unpark): a state flag and two pointer
@@ -37,7 +39,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
 	p := &Proc{eng: e, id: e.procSeq, name: name}
 	e.ProcsSpawned++
-	p.next = pull(func(yield func(struct{}) bool) {
+	p.next, p.stop = pull(func(yield func(struct{}) bool) {
 		p.suspend = yield
 		fn(p)
 	})
@@ -52,15 +54,33 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // (or a sharded worker's recover) with the original value.
 func (p *Proc) run() {
 	if _, ok := p.next(); !ok {
-		p.next, p.suspend = nil, nil
+		p.next, p.suspend, p.stop = nil, nil, nil
 	}
 }
 
 // block suspends the calling process and returns when some event resumes
 // it. This is the single resume path every blocking primitive funnels
-// through: one coroutine switch each way and no allocation per block.
+// through: one coroutine switch each way and no allocation per block. A
+// process released instead of resumed unwinds from here.
 func (p *Proc) block() {
-	p.suspend(struct{}{})
+	if !p.suspend(struct{}{}) {
+		panic(released{})
+	}
+}
+
+// released is the panic that unwinds a released process's body.
+type released struct{}
+
+// release unwinds the body of a process that will never be resumed, so its
+// coroutine does not outlive the run: a body that never started does not
+// run, and a blocked one panics released at its block point. stop
+// re-raises that panic, or any other the body raises on its way out; both
+// are dropped, since the run is already failing.
+func (p *Proc) release() {
+	defer func() { _ = recover() }()
+	if p.stop != nil {
+		p.stop()
+	}
 }
 
 // yield parks the calling process. The scheduler resumes it when some event

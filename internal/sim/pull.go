@@ -10,8 +10,10 @@ import "iter"
 
 // pull starts body as a coroutine. Each call of next runs the body until it
 // calls yield or returns (ok is false once it has returned); a panic in the
-// body is re-raised in next's caller.
-func pull(body iter.Seq[struct{}]) (next func() (struct{}, bool)) {
-	next, _ = iter.Pull(body) // stop is never called: a body runs to its end
-	return next
+// body is re-raised in next's caller. stop ends a body that has not
+// returned: one never started does not run, and a suspended one sees its
+// yield return false; a panic it raises on the way out is re-raised in
+// stop's caller.
+func pull(body iter.Seq[struct{}]) (next func() (struct{}, bool), stop func()) {
+	return iter.Pull(body)
 }
