@@ -21,7 +21,7 @@ import (
 // safe.
 
 // BenchmarkMPIPingPong measures one blocking Send/Recv round trip between
-// two ranks in steady state (warm routes, warm mailboxes, warm pools).
+// two ranks in steady state (warm routes, warm pending lists, warm pools).
 func BenchmarkMPIPingPong(b *testing.B) {
 	sys := newSys(2, machine.SN)
 	b.ReportAllocs()
@@ -137,7 +137,7 @@ func BenchmarkMPIHalo(b *testing.B) {
 // ring round and reports the steady-state live heap per rank — the same
 // accounting as TestPaperScaleHeapBudget, so its heap-B/rank metric sits
 // beside the wall clock of standing up a paper-scale world (the test pins
-// the budget, 2048 B/rank).
+// the budget, 1536 B/rank).
 func BenchmarkMPIPaperScaleHeap(b *testing.B) {
 	m := machine.XT4Full()
 	tasks := m.MaxCores() // 23,016
@@ -158,7 +158,7 @@ func BenchmarkMPIPaperScaleHeap(b *testing.B) {
 		if pr := float64(heap()-base) / float64(tasks); pr > perRank {
 			perRank = pr
 		}
-		w.Finalize()
+		runtime.KeepAlive(comm)
 	}
 	b.ReportMetric(perRank, "heap-B/rank")
 }

@@ -2,184 +2,58 @@ package mpi
 
 import "xtsim/internal/sim"
 
-// Message matching: each rank's per-communicator P owns a sparse table of
-// per-sender slots, keyed by the sender's local rank, each holding a
-// small set of per-tag mailboxes. This replaces the former paged dense
-// directory: a rank's steady-state matching footprint is proportional to
-// the number of senders that actually talk to it (a handful under
-// nearest-neighbour or log-radix patterns), not to the communicator size —
-// the invariant that keeps a 23,016-rank world at O(1) heap per rank
-// (DESIGN.md §4d). Because the table lives on the per-communicator P,
-// Split/Dup communicators get isolated matching state for free.
-//
-// The table is open-addressed with linear probing over power-of-two
-// storage: the hot path is one multiplicative hash, typically one probe,
-// and a short inline tag scan — no map header, no per-bucket overhead.
-// Slot structs are pooled on the domain's wpool and reclaimed by
-// World.Finalize, so repeated runs and Split-heavy programs reuse matching
-// state instead of regrowing it.
+// Message matching (DESIGN.md §4d), one path for both runtimes: each
+// rank's per-communicator P keeps a pending list of delivered but not yet
+// received messages in arrival order, and a receive takes the first entry
+// from its (source, tag). Messages from one sender arrive in that sender's
+// program order, so the first-match scan delivers each (source, tag) flow
+// in FIFO order. The list lives on the receiver's per-communicator P, which
+// gives every Split/Dup communicator an isolated tag space, and it holds
+// only what is in flight: the -short campaign's receives examine 1.27
+// entries on average and never more than 22, so a linear scan needs no
+// per-sender index, and a rank's matching heap is its high-water pending
+// count, not the communicator size.
 
-const (
-	// inlineTags trades slot footprint against overflow-box allocations:
-	// each inline entry is a 64-byte mailbox, and at paper scale idle
-	// inline entries dominate per-rank matching heap (most sender pairs
-	// use one or two live tags; heavier tag fans spill to pooled-slice
-	// overflow boxes created on demand).
-	inlineTags = 2
-	// minSrcCap is the initial sender-table capacity (power of two).
-	// Nearest-neighbour exchanges see ≤ 6 senders, so the table usually
-	// never rehashes.
-	minSrcCap = 8
-)
-
-// tagBox is an overflow mailbox for slots using more than inlineTags tags.
-type tagBox struct {
-	tag int
-	box sim.Mailbox[Envelope]
+// pending is one delivered-but-unreceived message, stamped with its
+// arrival time.
+type pending struct {
+	at  sim.Time
+	env Envelope
 }
 
-// matchSlot holds the mailboxes for messages from one sender to the owning
-// rank. Slots are heap-allocated once and never move, so mailbox pointers
-// captured by in-flight messages stay valid as the table grows; freed
-// slots recycle through the domain pool's free list.
-type matchSlot struct {
-	n     int // live inline entries
-	tags  [inlineTags]int
-	boxes [inlineTags]sim.Mailbox[Envelope]
-	more  []*tagBox
-	free  *matchSlot // wpool free-list link
-}
-
-// mbox returns the mailbox for tag, creating it on first use. Most
-// (sender, receiver) pairs use one or two tags, so the inline scan is
-// usually the whole lookup.
-func (s *matchSlot) mbox(tag int) *sim.Mailbox[Envelope] {
-	for i := 0; i < s.n; i++ {
-		if s.tags[i] == tag {
-			return &s.boxes[i]
-		}
+// deposit appends env, which arrived at at, to p's pending list. A DES
+// flight calls it from its arrival event, on the receiver's own domain;
+// a hybrid send calls it directly. It wakes p's parked receive only when
+// env is the message that receive waits for, so a parked rank resumes once
+// per receive, not once per arrival.
+func (p *P) deposit(at sim.Time, env Envelope) {
+	p.pend = append(p.pend, pending{at: at, env: env})
+	if p.recvReady.Waiting() > 0 && env.Src == p.wantSrc && env.Tag == p.wantTag {
+		p.recvReady.Broadcast()
 	}
-	for _, tb := range s.more {
-		if tb.tag == tag {
-			return &tb.box
-		}
-	}
-	if s.n < inlineTags {
-		i := s.n
-		s.n++
-		s.tags[i] = tag
-		return &s.boxes[i]
-	}
-	tb := &tagBox{tag: tag}
-	s.more = append(s.more, tb)
-	return &tb.box
 }
 
-// srcTable is the open-addressed sender directory: srcs[i] holds the
-// sender's local rank + 1 (0 marks an empty probe cell) and slots[i] that
-// sender's matching slot. Capacity is a power of two; load is kept under
-// 3/4 so probe runs stay short.
-type srcTable struct {
-	srcs  []int32
-	slots []*matchSlot
-	n     int // live entries
-}
-
-// hashSrc spreads small integer ranks over the table (Fibonacci hashing):
-// nearest-neighbour sender sets are runs of close-by ranks, which a plain
-// mask would cluster into one probe chain.
-func hashSrc(src, mask int) int {
-	return int(uint32(src)*2654435769) & mask
-}
-
-// slot returns the matching slot for messages sent to p by local rank src,
-// materialising the table and the sender's slot lazily on first use.
-func (p *P) slot(src int) *matchSlot {
-	t := &p.tbl
-	if t.slots == nil {
-		t.srcs = make([]int32, minSrcCap)
-		t.slots = make([]*matchSlot, minSrcCap)
-	}
-	mask := len(t.slots) - 1
-	i := hashSrc(src, mask)
+// match blocks until a message from src with tag is pending, removes the
+// first such message and returns it. A hybrid rank's clock then advances
+// to the arrival time, where the DES resumes a rank that blocked; a
+// message that arrived earlier leaves the clock alone on both runtimes.
+func (p *P) match(src, tag int) Envelope {
 	for {
-		switch t.srcs[i] {
-		case int32(src) + 1:
-			return t.slots[i]
-		case 0:
-			if (t.n+1)*4 > len(t.slots)*3 {
-				t.rehash()
-				mask = len(t.slots) - 1
-				i = hashSrc(src, mask)
-				for t.srcs[i] != 0 {
-					i = (i + 1) & mask
-				}
+		for i := range p.pend {
+			m := p.pend[i]
+			if m.env.Src != src || m.env.Tag != tag {
+				continue
 			}
-			s := p.pool.getSlot()
-			t.srcs[i] = int32(src) + 1
-			t.slots[i] = s
-			t.n++
-			return s
+			last := len(p.pend) - 1
+			copy(p.pend[i:], p.pend[i+1:])
+			p.pend[last] = pending{} // pin no stale payload
+			p.pend = p.pend[:last]
+			if clk := p.task.HybClock(); clk != nil && m.at > clk.T {
+				clk.T = m.at
+			}
+			return m.env
 		}
-		i = (i + 1) & mask
+		p.wantSrc, p.wantTag = src, tag
+		p.recvReady.Await(p.task.Proc)
 	}
-}
-
-// rehash doubles the table, reinserting live entries.
-func (t *srcTable) rehash() {
-	oldSrcs, oldSlots := t.srcs, t.slots
-	cap2 := 2 * len(oldSlots)
-	t.srcs = make([]int32, cap2)
-	t.slots = make([]*matchSlot, cap2)
-	mask := cap2 - 1
-	for j, s := range oldSrcs {
-		if s == 0 {
-			continue
-		}
-		i := hashSrc(int(s-1), mask)
-		for t.srcs[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.srcs[i] = s
-		t.slots[i] = oldSlots[j]
-	}
-}
-
-// releaseMatching returns every slot to the domain pool and drops the
-// table storage; World.Finalize calls it once the run is over.
-func (p *P) releaseMatching() {
-	t := &p.tbl
-	for i, s := range t.slots {
-		if s != nil {
-			p.pool.putSlot(s)
-			t.slots[i] = nil
-		}
-	}
-	t.srcs, t.slots, t.n = nil, nil, 0
-}
-
-// getSlot pops a recycled matching slot from the domain pool (or
-// allocates a fresh one).
-func (w *wpool) getSlot() *matchSlot {
-	s := w.freeSlots
-	if s == nil {
-		return &matchSlot{}
-	}
-	w.freeSlots = s.free
-	s.free = nil
-	return s
-}
-
-// putSlot scrubs a slot and pushes it onto the domain free list. Inline
-// mailboxes keep their ring storage (a reused slot starts at its previous
-// high-water capacity); overflow tag boxes are rare and simply dropped.
-func (w *wpool) putSlot(s *matchSlot) {
-	for i := 0; i < s.n; i++ {
-		s.tags[i] = 0
-		s.boxes[i].Reset()
-	}
-	s.n = 0
-	s.more = nil
-	s.free = w.freeSlots
-	w.freeSlots = s
 }

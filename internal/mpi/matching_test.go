@@ -8,10 +8,10 @@ import (
 	"xtsim/internal/machine"
 )
 
-// TestMatchingFIFOAcrossWraparound drives one (source, tag) flow through
-// many cycles of varying queue occupancy so the underlying ring buffer
-// wraps at every head position, and checks strict FIFO delivery throughout.
-func TestMatchingFIFOAcrossWraparound(t *testing.T) {
+// TestMatchingFIFOAcrossBursts drives one (source, tag) flow through many
+// bursts of one to five queued messages, so the pending list fills and
+// drains at every depth, and checks strict FIFO delivery throughout.
+func TestMatchingFIFOAcrossBursts(t *testing.T) {
 	sys := newSys(2, machine.SN)
 	const rounds = 60
 	Run(sys, Algorithmic, func(p *P) {
@@ -24,7 +24,7 @@ func TestMatchingFIFOAcrossWraparound(t *testing.T) {
 					seq++
 				}
 				// The ack drains the queue each round so occupancy cycles
-				// through every ring position.
+				// through every burst depth.
 				p.Recv(1, 4)
 			}
 		} else {
@@ -43,12 +43,13 @@ func TestMatchingFIFOAcrossWraparound(t *testing.T) {
 	})
 }
 
-// TestManyTagsPerPairMatchIndependently uses more concurrent tags between
-// one sender/receiver pair than the matching slot holds inline, forcing
-// the overflow path, and receives them in reverse tag order.
+// TestManyTagsPerPairMatchIndependently queues six concurrent tags between
+// one sender/receiver pair (S3D's ghost exchange uses seven per neighbour)
+// and receives them in reverse tag order, so every receive but the last
+// skips past other tags' pending messages.
 func TestManyTagsPerPairMatchIndependently(t *testing.T) {
 	sys := newSys(2, machine.SN)
-	const tags = 3 * inlineTags
+	const tags = 6
 	Run(sys, Algorithmic, func(p *P) {
 		if p.Rank() == 0 {
 			for tg := 0; tg < tags; tg++ {
@@ -89,11 +90,10 @@ func TestSplitCommsIsolatedMatching(t *testing.T) {
 	})
 }
 
-// TestSteadySendRecvAllocationFree is the allocation guard for the
-// tentpole invariant (DESIGN.md §4d): once mailboxes, pools, and scratch
-// have reached their high-water marks, a blocking Send/Recv pair allocates
-// nothing — no envelope boxing, no map inserts, no request or closure
-// allocation.
+// TestSteadySendRecvAllocationFree is the allocation guard for the message
+// path (DESIGN.md §4d): once pending lists, pools, and scratch have reached
+// their high-water marks, a blocking Send/Recv pair allocates nothing — no
+// envelope boxing, no map inserts, no request or closure allocation.
 func TestSteadySendRecvAllocationFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	sys := newSys(2, machine.SN)

@@ -96,10 +96,6 @@ type World struct {
 	comms    int // comm id allocator
 	CollMode CollectiveMode
 
-	// allComms tracks every communicator ever created (world, Split, Dup)
-	// so Finalize can walk all matching tables for reclamation.
-	allComms []*Comm
-
 	// pools holds one recycling pool + send-counter block per scheduling
 	// domain (a single entry in serial mode): flights, payload slabs and
 	// counters all stay domain-private so the sharded scheduler's workers
@@ -113,9 +109,8 @@ type World struct {
 	SentMsgs  uint64
 	SentBytes uint64
 
-	// sess prices a hybrid world's sends, nil for DES worlds; newComm gives
-	// its members pending lists, and horizon is the latest arrival time a
-	// send booked (see hybrid.go).
+	// sess prices a hybrid world's sends, nil for DES worlds; horizon is the
+	// latest arrival time a send booked (see hybrid.go).
 	sess    *network.HybridSession
 	horizon sim.Time
 }
@@ -171,20 +166,16 @@ type P struct {
 	curClass OpClass
 	prof     Profile
 
-	// Message-matching table: a sparse open-addressed directory of
-	// per-sender slots (see matching.go). Living on the receiver's
-	// per-communicator P gives every communicator an isolated tag space;
-	// holding only senders that actually appear keeps per-rank heap O(1)
-	// at paper scale.
-	tbl srcTable
+	// pend is the rank's pending list on this communicator, in arrival
+	// order (see matching.go). A receive that finds no match parks on
+	// recvReady, waiting for the message from wantSrc with wantTag.
+	pend             []pending
+	recvReady        sim.Condition
+	wantSrc, wantTag int
 
 	// pool is the recycling pool + send counters of the scheduling domain
 	// this rank's node lives in (the world's only pool in serial mode).
 	pool *wpool
-
-	// hyb is this rank's pending-message list on the hybrid fast path, nil
-	// on the DES (see hybrid.go).
-	hyb *hybView
 
 	// curIter is the application-declared iteration label (SetIter),
 	// stamped onto timeline phase spans; meaningless while the flight
@@ -241,26 +232,7 @@ func run(sys *core.System, mode CollectiveMode, body func(p *P)) (end sim.Time, 
 		w.sess.Commit()
 	}
 	w.FoldStats()
-	w.Finalize()
 	return end, true
-}
-
-// Finalize releases run-lifetime matching and scratch state: every
-// communicator's matching slots go back to their domain pools and per-rank
-// scratch is dropped, so a finished world's steady-state retention is the
-// pools themselves. Run calls it after folding stats; callers driving
-// sys.Run through NewWorld directly should call it when the run is over
-// (in-flight matching state must be quiescent, which it is once sys.Run
-// has returned).
-func (w *World) Finalize() {
-	for _, c := range w.allComms {
-		for _, p := range c.members {
-			p.releaseMatching()
-			p.freeReqs = nil
-			p.reqScratch = nil
-			p.sizeScratch = nil
-		}
-	}
 }
 
 // FoldStats folds the per-domain send counters into the world's public
@@ -286,7 +258,6 @@ func identity(n int) []int {
 func (w *World) newComm(group []int) *Comm {
 	w.comms++
 	c := &Comm{w: w, id: w.comms, group: group}
-	w.allComms = append(w.allComms, c)
 	for i := range w.pools {
 		if pr := w.pools[i].probe; pr != nil {
 			pr.Comm(c.id, len(group))
@@ -308,17 +279,10 @@ func (w *World) newComm(group []int) *Comm {
 	// One backing slab for all member views: at 23k ranks, per-object
 	// allocation rounding on the P struct alone is measurable.
 	ps := make([]P, len(group))
-	var views []hybView
-	if w.sess != nil {
-		views = make([]hybView, len(group))
-	}
 	c.members = make([]*P, len(group))
 	for lr, g := range group {
 		node, _ := w.sys.Place(g)
 		ps[lr] = P{c: c, me: lr, pool: &w.pools[w.sys.DomainOf(node)]}
-		if views != nil {
-			ps[lr].hyb = &views[lr]
-		}
 		c.members[lr] = &ps[lr]
 		if c.index != nil {
 			c.index[g] = lr
@@ -409,7 +373,7 @@ func (p *P) IsendData(dst, tag int, data []float64) *Request {
 }
 
 func (p *P) isendData(dst, tag int, bytes int64, data []float64) *Request {
-	if p.hyb != nil {
+	if p.c.w.sess != nil {
 		return p.hybIsend(dst, tag, bytes, data)
 	}
 	dstTask := p.global(dst)
@@ -418,7 +382,7 @@ func (p *P) isendData(dst, tag int, bytes int64, data []float64) *Request {
 	// a pooled slab reclaimed when the receiver combines-and-drops it.
 	env := Envelope{Src: p.me, Tag: tag, Bytes: bytes, Data: p.clonePayload(data)}
 
-	fl := p.newFlight(p.c.members[dst], tag, env)
+	fl := p.newFlight(p.c.members[dst], env)
 	tl := p.c.w.sys.Fabric.Deliver(p.task.Now(), p.msg(dstTask, bytes), fl)
 	p.pool.sentMsgs++
 	p.pool.sentBytes += uint64(bytes)
@@ -454,21 +418,17 @@ func (p *P) Recv(src, tag int) Envelope {
 	if src < 0 || src >= len(p.c.group) {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", src, len(p.c.group)))
 	}
-	if p.hyb != nil {
-		return p.hybRecv(src, tag)
-	}
-	box := p.slot(src).mbox(tag)
 	if pr := p.pool.probe; pr != nil {
 		// Every blocking receive in the runtime funnels through here
 		// (including the algorithmic collectives' internal p2p), so this
 		// one site records all message-ended waits. curClass is the
 		// enclosing top-level op, matching the Profile attribution rules.
 		t0 := p.task.Now()
-		env := box.Recv(p.task.Proc)
+		env := p.match(src, tag)
 		pr.Blocked(p.task.ID, t0, p.task.Now(), int(p.curClass), critpath.KindRecv, env.cause)
 		return env
 	}
-	return box.Recv(p.task.Proc)
+	return p.match(src, tag)
 }
 
 // Irecv returns a request whose Wait performs the receive; the envelope is
@@ -553,12 +513,12 @@ func (p *P) waitOne(r *Request) {
 		}
 		return
 	}
-	if p.hyb != nil {
+	if clk := p.task.HybClock(); clk != nil {
 		// Hybrid sends complete at creation with their injection time
 		// attached; the DES would block the proc until the injection event,
 		// so resume-at-injection becomes a clock advance (the comparison
 		// covers the already-past case where the DES does not move either).
-		if clk := p.task.HybClock(); r.ready > clk.T {
+		if r.ready > clk.T {
 			clk.T = r.ready
 		}
 	} else if pr := p.pool.probe; pr != nil && !r.done {
@@ -632,21 +592,26 @@ func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
 		panic("mpi: shared-state collective coordination under the parallel scheduler; run this workload serially")
 	}
 	now := p.task.Now()
-	for len(c.meets) <= p.collSeq {
+	clk := p.task.HybClock()
+	seq := p.collSeq
+	for len(c.meets) <= seq {
 		c.meets = append(c.meets, &meet{})
 	}
-	m := c.meets[p.collSeq]
+	m := c.meets[seq]
 	p.collSeq++
 	if arrive != nil {
 		arrive(m)
 	}
-	if m.arrived == 0 || now > m.maxAt || now == m.maxAt && (p.hyb == nil || p.me > m.maxRank) {
+	if m.arrived == 0 || now > m.maxAt || now == m.maxAt && (clk == nil || p.me > m.maxRank) {
 		m.maxAt, m.maxRank, m.cost = now, p.me, cost
 	}
 	m.arrived++
 	if m.arrived < len(c.group) {
 		m.cond.Await(p.task.Proc)
 	} else {
+		// Every rank holds m until it leaves; the communicator drops it
+		// so a long run does not retain each finished meet's waiters.
+		c.meets[seq] = nil
 		if last != nil {
 			last(m)
 		}
@@ -656,8 +621,8 @@ func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
 		}
 		m.cond.Broadcast()
 	}
-	if p.hyb != nil {
-		p.task.HybClock().T = m.finish
+	if clk != nil {
+		clk.T = m.finish
 	} else if m.cost != nil {
 		p.task.Proc.WaitUntil(m.finish)
 	}

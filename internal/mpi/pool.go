@@ -21,46 +21,43 @@ import (
 // adjacent domains' hot fields off one cache line.
 type wpool struct {
 	freeFlights *flight
-	freeSlots   *matchSlot
 	payload     [][]float64
 	sentMsgs    uint64
 	sentBytes   uint64
 	// probe is the domain's observer, the one its fabric ledger holds; nil
 	// while no observer is on.
 	probe *timeline.Probe
-	_     [4]uint64
+	_     [5]uint64
 }
 
 // flight is the arrival record of one in-flight eager message. It
 // implements sim.Arriver, so Fabric.Deliver needs no per-send closure, and
-// it recycles itself as soon as it has delivered its envelope into the
-// destination mailbox. The matching mailbox is resolved at arrival time,
-// not send time: Arrive executes on the *receiver's* domain engine, so the
-// receiver-side matching table (and the pool the flight recycles into) are
+// it recycles itself as soon as it has deposited its envelope in the
+// receiver's pending list. Arrive executes on the *receiver's* domain
+// engine, so the pending list (and the pool the flight recycles into) are
 // always touched from the domain that owns them.
 type flight struct {
-	dst      *P
-	src, tag int
-	env      Envelope
-	next     *flight
+	dst  *P
+	env  Envelope
+	next *flight
 }
 
-// Arrive delivers the envelope at message-arrival time.
-func (f *flight) Arrive(sim.Time) {
-	dst, src, tag, env := f.dst, f.src, f.tag, f.env
+// Arrive deposits the envelope at message-arrival time.
+func (f *flight) Arrive(at sim.Time) {
+	dst, env := f.dst, f.env
 	f.dst = nil
 	f.env = Envelope{}
 	pool := dst.pool
 	f.next = pool.freeFlights
 	pool.freeFlights = f
-	dst.slot(src).mbox(tag).Send(env)
+	dst.deposit(at, env)
 }
 
 // newFlight pops an arrival record from the sender's domain pool (flights
 // recycle into the receiving domain's pool, so under the sharded scheduler
 // records migrate with the traffic — steady bidirectional flows stay
 // balanced and allocation-free).
-func (p *P) newFlight(dst *P, tag int, env Envelope) *flight {
+func (p *P) newFlight(dst *P, env Envelope) *flight {
 	pool := p.pool
 	f := pool.freeFlights
 	if f == nil {
@@ -70,8 +67,6 @@ func (p *P) newFlight(dst *P, tag int, env Envelope) *flight {
 		f.next = nil
 	}
 	f.dst = dst
-	f.src = p.me
-	f.tag = tag
 	f.env = env
 	return f
 }

@@ -33,23 +33,23 @@ func BenchmarkEngineEvents(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures one blocking-operation round trip: two
-// processes ping-pong through a pair of mailboxes, so each iteration is two
+// processes ping-pong through a pair of tokens, so each iteration is two
 // yield/wake cycles (four coroutine switches: each process is resumed and
 // suspends once). This is the cost every simulated Recv, resource
 // acquisition, and rendezvous pays.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
-	var ping, pong Mailbox[struct{}]
+	var ping, pong token
 	e.Spawn("ping", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Send(struct{}{})
-			pong.Recv(p)
+			ping.put()
+			pong.take(p)
 		}
 	})
 	e.Spawn("pong", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Recv(p)
-			pong.Send(struct{}{})
+			ping.take(p)
+			pong.put()
 		}
 	})
 	b.ReportAllocs()

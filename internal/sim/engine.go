@@ -7,11 +7,11 @@
 //
 // Processes are ordinary Go functions run as iter.Pull coroutines, and at
 // most one executes at any instant: a process runs until it blocks on a
-// simulation primitive (Wait, Mailbox.Recv, resource acquisition), at which
-// point it switches straight back to the scheduler. This makes simulations
-// fully deterministic — event ordering is defined by (time, sequence
-// number), never by the Go runtime scheduler — which is essential for
-// reproducible performance experiments.
+// simulation primitive (Wait, Condition.Await, resource acquisition), at
+// which point it switches straight back to the scheduler. This makes
+// simulations fully deterministic — event ordering is defined by (time,
+// sequence number), never by the Go runtime scheduler — which is essential
+// for reproducible performance experiments.
 //
 // The scheduling hot path is allocation-free in steady state: events are
 // values in a 4-ary min-heap whose backing array doubles as a free list

@@ -19,24 +19,20 @@ func TestShardedMatchesSerial(t *testing.T) {
 	// engine twice, for the serial reference). send posts cross-engine.
 	build := func(e0, e1 *Engine, send func(from *Engine, to int, at Time, fn func())) (done *int) {
 		n := new(int)
-		var m0, m1 Mailbox[int]
+		var t0, t1 token
 		e0.Spawn("ping", func(p *Proc) {
 			for i := 0; i < rounds; i++ {
 				at := p.Now() + lat
-				send(e0, 1, at, func() { m1.Send(1) })
-				if got := m0.Recv(p); got != 1 {
-					panic("bad token")
-				}
+				send(e0, 1, at, t1.put)
+				t0.take(p)
 				*n++
 			}
 		})
 		e1.Spawn("pong", func(p *Proc) {
 			for i := 0; i < rounds; i++ {
-				if got := m1.Recv(p); got != 1 {
-					panic("bad token")
-				}
+				t1.take(p)
 				at := p.Now() + lat
-				send(e1, 0, at, func() { m0.Send(1) })
+				send(e1, 0, at, t0.put)
 			}
 		})
 		return n
@@ -150,9 +146,9 @@ func TestShardedDeadlockPanics(t *testing.T) {
 		}
 	}()
 	sh := NewSharded(2, 1e-6)
-	var mb Mailbox[int]
+	var tk token
 	sh.Engine(1).Spawn("stuck", func(p *Proc) {
-		mb.Recv(p) // never sent
+		tk.take(p) // never put
 	})
 	sh.Engine(0).Spawn("fine", func(p *Proc) { p.Wait(1) })
 	sh.Run()
