@@ -173,8 +173,11 @@ func RunOn(sys *core.System, b Benchmark) Result {
 			z := (mz + dz + pz) % pz
 			return (z*py+y)*px + x
 		}
+		// One request list per rank, reused by every exchange: a send and
+		// a receive per neighbour.
+		reqs := make([]*mpi.Request, 0, 12)
 		exchange := func(bytes int64, tagBase int) {
-			var reqs []*mpi.Request
+			reqs = reqs[:0]
 			dirs := [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 			for d, dir := range dirs {
 				nb := neighbour(dir[0], dir[1], dir[2])

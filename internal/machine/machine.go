@@ -176,7 +176,9 @@ type Machine struct {
 }
 
 // Validate checks internal consistency; machine constructors call it, and
-// user-defined machines (examples/custommachine) should too.
+// user-defined machines (examples/custommachine) should too. Every float
+// parameter must be finite. NaN fails every comparison, so each check
+// states what a valid value is rather than what an invalid one is.
 func (m Machine) Validate() error {
 	switch {
 	case m.Name == "":
@@ -185,23 +187,33 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("machine %s: CoresPerNode = %d", m.Name, m.CoresPerNode)
 	case m.TotalNodes < 1:
 		return fmt.Errorf("machine %s: TotalNodes = %d", m.Name, m.TotalNodes)
-	case m.CPU.ClockGHz <= 0 || m.CPU.FlopsPerCycle <= 0:
+	case !positive(m.CPU.ClockGHz) || !positive(m.CPU.FlopsPerCycle):
 		return fmt.Errorf("machine %s: invalid CPU config %+v", m.Name, m.CPU)
-	case m.CPU.DGEMMEff <= 0 || m.CPU.DGEMMEff > 1:
+	case !fraction(m.CPU.DGEMMEff):
 		return fmt.Errorf("machine %s: DGEMMEff = %v", m.Name, m.CPU.DGEMMEff)
-	case m.Mem.PeakBW <= 0 || m.Mem.StreamEff <= 0 || m.Mem.StreamEff > 1:
+	case !positive(m.Mem.PeakBW) || !fraction(m.Mem.StreamEff):
 		return fmt.Errorf("machine %s: invalid memory config %+v", m.Name, m.Mem)
-	case m.Mem.LatencyNS <= 0 || m.Mem.RandomMLP <= 0:
+	case !positive(m.Mem.LatencyNS) || !positive(m.Mem.RandomMLP):
 		return fmt.Errorf("machine %s: invalid latency/MLP %+v", m.Name, m.Mem)
-	case m.NIC.InjBW <= 0 || m.NIC.Eff <= 0 || m.NIC.Eff > 1:
+	case !positive(m.NIC.InjBW) || !fraction(m.NIC.Eff):
 		return fmt.Errorf("machine %s: invalid NIC config %+v", m.Name, m.NIC)
-	case m.NIC.MemcpyBW <= 0:
+	case !nonNegative(m.NIC.SendOverheadUS) || !nonNegative(m.NIC.RecvOverheadUS) ||
+		!nonNegative(m.NIC.VNMediationUS) || !nonNegative(m.NIC.VNProxyUS):
+		return fmt.Errorf("machine %s: invalid NIC overheads %+v", m.Name, m.NIC)
+	case !positive(m.NIC.MemcpyBW):
 		return fmt.Errorf("machine %s: MemcpyBW = %v", m.Name, m.NIC.MemcpyBW)
-	case m.Link.BW <= 0 || m.Link.HopLatencyUS < 0:
+	case !positive(m.Link.BW) || !nonNegative(m.Link.HopLatencyUS):
 		return fmt.Errorf("machine %s: invalid link config %+v", m.Name, m.Link)
 	}
 	return nil
 }
+
+// positive reports whether x is finite and above zero, fraction whether x
+// lies in (0, 1], and nonNegative whether x is finite and not below zero.
+// All three are false for NaN.
+func positive(x float64) bool    { return x > 0 && x <= math.MaxFloat64 }
+func fraction(x float64) bool    { return x > 0 && x <= 1 }
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // MaxCores reports the full-system core count.
 func (m Machine) MaxCores() int { return m.TotalNodes * m.CoresPerNode }

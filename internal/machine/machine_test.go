@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -170,6 +172,10 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(m *Machine) { m.NIC.MemcpyBW = 0 },
 		func(m *Machine) { m.Link.BW = 0 },
 		func(m *Machine) { m.Link.HopLatencyUS = -1 },
+		func(m *Machine) { m.NIC.SendOverheadUS = -5 },
+		func(m *Machine) { m.NIC.RecvOverheadUS = -5 },
+		func(m *Machine) { m.NIC.VNMediationUS = -5 },
+		func(m *Machine) { m.NIC.VNProxyUS = -5 },
 	}
 	for i, mutate := range cases {
 		m := good
@@ -177,6 +183,39 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: invalid machine passed validation", i)
 		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets each float parameter of a valid
+// machine, one at a time, to NaN and to each infinity: every variant must
+// fail validation. A NaN that slipped through would surface only later; a
+// NaN SendOverheadUS, for one, as a scheduling panic at the first message.
+// The walk is by reflection, so it covers a float field added later too.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	good := XT4()
+	mt := reflect.TypeOf(good)
+	fields := 0
+	for i := 0; i < mt.NumField(); i++ {
+		st := mt.Field(i).Type
+		if st.Kind() != reflect.Struct {
+			continue
+		}
+		for j := 0; j < st.NumField(); j++ {
+			if st.Field(j).Type.Kind() != reflect.Float64 {
+				continue
+			}
+			fields++
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				m := good
+				reflect.ValueOf(&m).Elem().Field(i).Field(j).SetFloat(v)
+				if m.Validate() == nil {
+					t.Errorf("%s.%s = %v passed validation", mt.Field(i).Name, st.Field(j).Name, v)
+				}
+			}
+		}
+	}
+	if fields == 0 {
+		t.Fatal("found no float parameters")
 	}
 }
 

@@ -41,7 +41,7 @@ func (p *P) hybIsend(dst, tag int, bytes int64, data []float64) *Request {
 		w.horizon = tl.Arrive
 	}
 	p.c.members[dst].deposit(tl.Arrive, Envelope{Src: p.me, Tag: tag, Bytes: bytes, Data: p.clonePayload(data)})
-	req := p.newSendReq()
+	req := p.newReq()
 	req.done = true
 	req.ready = tl.Injected
 	return req

@@ -49,6 +49,43 @@ func TestHybridExactMatchesDES(t *testing.T) {
 	}
 }
 
+// TestHybridExactIrecvMatchesDES reuses recycled receive requests as
+// sends: each iteration waits a send and then an Irecv, so the next
+// iteration's IsendData pops the request the receive just returned, and
+// that send's injection is still pending when Wait takes it. A reused
+// request that kept its receive fields would make Wait receive instead:
+// the DES deadlocks and the hybrid path skips the send's clock advance.
+// The exact tier must end bit-identical to the DES.
+func TestHybridExactIrecvMatchesDES(t *testing.T) {
+	body := func(p *P) {
+		partner := p.me ^ 1
+		data := make([]float64, 8192)
+		for it := 0; it < 5; it++ {
+			data[0], data[1] = float64(p.me), float64(it)
+			p.Wait(p.IsendData(partner, 7, data))
+			p.Task().ComputeSeconds(float64(p.me+1) * 1e-6)
+			r := p.Irecv(partner, 7)
+			p.Wait(r)
+			if env := r.Envelope(); len(env.Data) != len(data) || env.Data[0] != float64(partner) || env.Data[1] != float64(it) {
+				t.Errorf("rank %d iteration %d: received %d floats starting %v", p.me, it, len(env.Data), env.Data[:min(2, len(env.Data))])
+			}
+		}
+	}
+	des := Run(newSys(16, machine.SN), Auto, body)
+
+	sys := newSys(16, machine.SN)
+	if !sys.EnableHybrid(core.HybridExact) {
+		t.Fatalf("EnableHybrid declined: %s", sys.HybridReason())
+	}
+	hyb := Run(sys, Auto, body)
+	if !sys.HybridEnabled() {
+		t.Fatalf("hybrid fell back: %s", sys.HybridReason())
+	}
+	if hyb != des {
+		t.Fatalf("hybrid end %v != DES end %v (must be bit-identical)", hyb, des)
+	}
+}
+
 // TestHybridExactUnconsumedMessage pins the makespan contribution of a
 // delivered-but-never-received message (the DES counts its arrival event;
 // the hybrid counts the sender's horizon). The payload is above the

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"xtsim/internal/core"
 	"xtsim/internal/machine"
 )
 
@@ -95,6 +96,9 @@ func TestSplitCommsIsolatedMatching(t *testing.T) {
 // their high-water marks, a blocking Send/Recv pair allocates nothing — no
 // envelope boxing, no map inserts, no request or closure allocation.
 func TestSteadySendRecvAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	sys := newSys(2, machine.SN)
 	const warm, measure = 300, 1000
@@ -129,6 +133,59 @@ func TestSteadySendRecvAllocationFree(t *testing.T) {
 	})
 	if delta != 0 {
 		t.Fatalf("steady-state Send/Recv allocated %d heap objects over %d pairs", delta, measure)
+	}
+}
+
+// TestSteadyHaloExchangeAllocationFree is the allocation guard for the
+// nonblocking path: once warm, a pairwise Isend + Irecv + Wait exchange
+// through a reused request slice allocates nothing, because Wait recycles
+// receive requests as it does sends. It runs on the DES and on the
+// analytic hybrid tier; the exact tier would fall back to the DES on this
+// body, whose barrier routes share links with the pairs'.
+func TestSteadyHaloExchangeAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tier := range []core.HybridTier{core.HybridOff, core.HybridAnalytic} {
+		t.Run(tier.String(), func(t *testing.T) {
+			sys := newSys(8, machine.SN)
+			if tier != core.HybridOff && !sys.EnableHybrid(tier) {
+				t.Fatalf("EnableHybrid declined: %s", sys.HybridReason())
+			}
+			const warm, measure = 100, 500
+			var before, after uint64
+			Run(sys, Algorithmic, func(p *P) {
+				partner := p.Rank() ^ 1
+				reqs := make([]*Request, 0, 2)
+				exchange := func(n int) {
+					for i := 0; i < n; i++ {
+						reqs = append(reqs[:0], p.Isend(partner, 0, 4096), p.Irecv(partner, 0))
+						p.Wait(reqs...)
+					}
+				}
+				var ms runtime.MemStats
+				exchange(warm)
+				p.Barrier()
+				p.Barrier() // second barrier warms its own matching state fully
+				if p.Rank() == 0 {
+					runtime.ReadMemStats(&ms)
+					before = ms.Mallocs
+				}
+				exchange(measure)
+				p.Barrier() // every rank has finished exchanging once this returns
+				if p.Rank() == 0 {
+					runtime.ReadMemStats(&ms)
+					after = ms.Mallocs
+				}
+			})
+			if tier != core.HybridOff && !sys.HybridEnabled() {
+				t.Fatalf("hybrid fell back: %s", sys.HybridReason())
+			}
+			if delta := after - before; delta != 0 {
+				t.Fatalf("steady-state Isend/Irecv/Wait allocated %d heap objects over %d exchanges on 8 ranks", delta, measure)
+			}
+		})
 	}
 }
 

@@ -183,7 +183,7 @@ type P struct {
 	curIter int32
 
 	// Hot-path pools and scratch (see pool.go and DESIGN.md §4d).
-	freeReqs    *Request   // recycled send requests
+	freeReqs    *Request   // recycled requests, sends and receives
 	reqScratch  []*Request // reused request list for fan-out collectives
 	sizeScratch []int64    // reused per-rank size vector for Alltoall
 }
@@ -387,7 +387,7 @@ func (p *P) isendData(dst, tag int, bytes int64, data []float64) *Request {
 	p.pool.sentMsgs++
 	p.pool.sentBytes += uint64(bytes)
 
-	req := p.newSendReq()
+	req := p.newReq()
 	if pr := p.pool.probe; pr != nil {
 		cls := OpSend // a bare Isend outside any tracked region
 		if p.opDepth > 0 {
@@ -431,10 +431,13 @@ func (p *P) Recv(src, tag int) Envelope {
 	return p.match(src, tag)
 }
 
-// Irecv returns a request whose Wait performs the receive; the envelope is
-// available from the request afterwards.
+// Irecv returns a request whose Wait performs the receive; Envelope returns
+// the message afterwards, for as long as Request says. The request comes
+// from the rank's free list, so a steady exchange allocates none.
 func (p *P) Irecv(src, tag int) *Request {
-	return &Request{owner: p, src: src, tag: tag}
+	r := p.newReq()
+	r.owner, r.src, r.tag = p, src, tag
+	return r
 }
 
 // SendRecv exchanges messages with potentially different partners, the
@@ -446,24 +449,28 @@ func (p *P) SendRecv(dst, sendTag int, sendBytes int64, src, recvTag int) Envelo
 	return env
 }
 
-// Request tracks a nonblocking operation. Send requests are pooled per
-// rank and recycled by Wait (do not Wait the same send request from two
-// places); receive requests perform their receive inside Wait and stay
-// owned by the caller so Envelope remains readable afterwards.
+// Request tracks a nonblocking operation. Requests are pooled per rank:
+// Isend and Irecv pop one from the rank's free list, and Wait pushes every
+// completed request, send or receive, back onto the waiting rank's list,
+// so do not Wait one request from two places. A receive request performs
+// its receive inside Wait. Its Envelope stays readable after Wait until
+// the rank starts another request on the communicator it waited through:
+// an Isend or Irecv, or a Send, SendRecv or algorithmic collective, which
+// start them internally.
 type Request struct {
+	// done marks a completed send, or a receive that Wait has performed;
+	// recycled, a request Wait has already returned to the free list.
 	done     bool
-	isSend   bool
-	envValid bool
 	recycled bool
 	cond     sim.Condition
 	env      Envelope
-	owner    *P // non-nil for receive requests
+	owner    *P // the receiving rank's view for receive requests; nil for sends
 	src, tag int
 	// edge is the critical-path edge id of the send's delivery (0 when
 	// recording is off); a Wait blocked on injection attributes its span
 	// through the edge's sender-side components.
 	edge int32
-	next *Request // free-list link for pooled send requests
+	next *Request // free-list link
 	// ready is the injection-complete time of a hybrid-path send (the DES
 	// schedules an engine event instead); Wait advances the rank's clock to
 	// it, which is exactly where the DES proc resumes.
@@ -479,16 +486,17 @@ func (r *Request) Arrive(sim.Time) {
 
 // Envelope returns the received message after Wait on an Irecv request.
 func (r *Request) Envelope() Envelope {
-	if r.isSend {
+	if r.owner == nil {
 		panic("mpi: Envelope called on a send request (only Irecv requests carry one)")
 	}
-	if !r.envValid {
+	if !r.done {
 		panic("mpi: Envelope called before Wait completed the receive")
 	}
 	return r.env
 }
 
-// Wait blocks until every request completes.
+// Wait blocks until every request completes, performing the receive of
+// each Irecv request, and returns the requests to the rank's free list.
 func (p *P) Wait(reqs ...*Request) {
 	start := p.opBegin(OpWait)
 	defer p.opEnd(OpWait, start)
@@ -508,12 +516,9 @@ func (p *P) waitOne(r *Request) {
 	if r.owner != nil {
 		if !r.done {
 			r.env = r.owner.Recv(r.src, r.tag)
-			r.envValid = true
 			r.done = true
 		}
-		return
-	}
-	if clk := p.task.HybClock(); clk != nil {
+	} else if clk := p.task.HybClock(); clk != nil {
 		// Hybrid sends complete at creation with their injection time
 		// attached; the DES would block the proc until the injection event,
 		// so resume-at-injection becomes a clock advance (the comparison

@@ -5,9 +5,10 @@ import (
 	"xtsim/internal/timeline"
 )
 
-// Hot-path pooling (DESIGN.md §4d): in-flight arrival records, send
-// requests, and payload slabs are all recycled so a steady-state Send/Recv
-// pair and the algorithmic collectives built on it allocate nothing.
+// Hot-path pooling (DESIGN.md §4d): in-flight arrival records, requests,
+// and payload slabs are all recycled so a steady-state Send/Recv pair, a
+// nonblocking Isend/Irecv/Wait exchange, and the algorithmic collectives
+// built on them allocate nothing.
 //
 // The pools are sharded per scheduling domain (one wpool per slab under
 // the parallel engine, a single pool in serial mode, DESIGN.md §4h): a
@@ -71,18 +72,19 @@ func (p *P) newFlight(dst *P, env Envelope) *flight {
 	return f
 }
 
-// newSendReq pops a recycled send request from the rank's free list, or
-// allocates the pool's next one. Wait returns completed send requests to
-// the list.
-func (p *P) newSendReq() *Request {
+// newReq pops a recycled request from the rank's free list, or allocates
+// the next one. Wait returns every completed request, send or receive, to
+// the waiting rank's list. Reuse resets the whole request and keeps only
+// its condition's waiter array: a field left from the last use (a
+// receive's owner, a hybrid send's ready time) would otherwise change what
+// Wait does with the next one.
+func (p *P) newReq() *Request {
 	r := p.freeReqs
 	if r == nil {
-		return &Request{isSend: true}
+		return &Request{}
 	}
 	p.freeReqs = r.next
-	r.next = nil
-	r.done = false
-	r.recycled = false
+	*r = Request{cond: r.cond}
 	return r
 }
 
