@@ -20,18 +20,13 @@ import (
 // tests; the bench measures the cost of regenerating the artifact).
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	benchExperimentOpts(b, id, expt.Options{Short: true})
-}
-
-func benchExperimentOpts(b *testing.B, id string, opts expt.Options) {
-	b.Helper()
 	e, err := expt.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(opts); err != nil {
+		if _, err := e.Execute(expt.Options{Short: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,17 +56,6 @@ func BenchmarkFig20NAMDXT(b *testing.B)          { benchExperiment(b, "fig20") }
 func BenchmarkFig21NAMDModes(b *testing.B)       { benchExperiment(b, "fig21") }
 func BenchmarkFig22S3D(b *testing.B)             { benchExperiment(b, "fig22") }
 func BenchmarkFig23AORSA(b *testing.B)           { benchExperiment(b, "fig23") }
-
-// Timeline pair: the MPI-FFT figure with the phase-resolved flight
-// recorder on vs off (`-bench Fig9Timeline` runs both). The rendered
-// table is byte-identical either way (fig9 never exports the recorder);
-// the wall-clock delta is pure sampling overhead.
-func BenchmarkFig9Timeline(b *testing.B) {
-	benchExperimentOpts(b, "fig9", expt.Options{Short: true, Timeline: true})
-}
-func BenchmarkFig9TimelineOff(b *testing.B) {
-	benchExperimentOpts(b, "fig9", expt.Options{Short: true})
-}
 
 // BenchmarkExtParallelS3D regenerates the ext-parallel artifact: serial,
 // 2-domain and 4-domain S3D runs, one after another as Execute runs them.

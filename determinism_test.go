@@ -10,27 +10,32 @@ import (
 	"xtsim/internal/sim"
 )
 
-// TestExperimentsDeterministic executes every registered experiment twice at
-// short scale and requires byte-identical rendered output AND an identical
-// number of simulator events executed. The event count is the stronger
-// check: a tie-break regression in the engine's event queue (or a stray map
-// iteration feeding event order) can reorder work while leaving rounded
-// table values untouched, and the free-list/heap rewrite in internal/sim is
-// exactly the kind of change this guards against.
+// TestExperimentsDeterministic executes every registered experiment once at
+// short scale, outside any Runner, so each runs its sweep cells one at a
+// time as at -jobs 1. Each must succeed and render blocks. Rendered the way
+// the campaign renders a Status, the experiments must concatenate to
+// experiments_output.txt, which TestCampaignOutputMatchesGolden reproduces
+// with 8 workers: together the two pin -jobs 1 output to -jobs 8 output,
+// and two runs of each experiment (one per test) to the same bytes.
 //
 // Each experiment's events and window barriers must also equal its row in
-// desWork, so an engine change that claims to leave the model alone cannot
-// add or drop work unnoticed. On a mismatch the test prints the observed
-// table; paste it over desWork after an intended model change.
+// desWork. The event count is the stronger check: a tie-break regression in
+// the engine's event queue (or a stray map iteration feeding event order)
+// can reorder work while leaving rounded table values untouched, and an
+// engine change that claims to leave the model alone cannot add or drop
+// work unnoticed. On a mismatch the test prints the observed table; paste
+// it over desWork after an intended model change.
 func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment twice; skipped in -short")
+		t.Skip("runs every experiment; skipped in -short")
 	}
 	want := make(map[string]desRow, len(desWork))
 	for _, w := range desWork {
 		want[w.id] = w
 	}
 	var observed strings.Builder
+	var campaign bytes.Buffer
+	ran := 0
 	stale := len(desWork) != len(expt.All())
 	opts := expt.Options{Short: true}
 	for _, e := range expt.All() {
@@ -39,37 +44,31 @@ func TestExperimentsDeterministic(t *testing.T) {
 		// counters attribute their deltas to exactly one experiment
 		// execution.
 		t.Run(e.ID, func(t *testing.T) {
-			run := func() (string, desRow, error) {
-				events, barriers := sim.TotalEventsExecuted(), sim.TotalWindowBarriers()
-				res, err := e.Execute(opts)
-				work := desRow{e.ID, sim.TotalEventsExecuted() - events, sim.TotalWindowBarriers() - barriers}
-				var buf bytes.Buffer
-				if res != nil {
-					if rerr := res.Render(&buf); rerr != nil {
-						t.Fatal(rerr)
-					}
-				}
-				return buf.String(), work, err
+			ran++
+			events, barriers := sim.TotalEventsExecuted(), sim.TotalWindowBarriers()
+			res, err := e.Execute(opts)
+			work := desRow{e.ID, sim.TotalEventsExecuted() - events, sim.TotalWindowBarriers() - barriers}
+			fmt.Fprintf(&observed, "\t{%q, %d, %d},\n", work.id, work.events, work.barriers)
+			st := expt.Status{Experiment: e, Result: res, Err: err}
+			if rerr := st.Render(&campaign); rerr != nil {
+				t.Fatal(rerr)
 			}
-			out1, work1, err1 := run()
-			out2, work2, err2 := run()
-			fmt.Fprintf(&observed, "\t{%q, %d, %d},\n", work1.id, work1.events, work1.barriers)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("error nondeterminism: first %v, second %v", err1, err2)
+			if err != nil {
+				t.Fatalf("%s failed: %v", e.ID, err)
 			}
-			if out1 != out2 {
-				t.Fatalf("rendered output differs between identical runs\n--- first ---\n%s--- second ---\n%s", out1, out2)
+			if len(res.Blocks) == 0 {
+				t.Fatalf("%s produced no blocks", e.ID)
 			}
-			if work1 != work2 {
-				t.Fatalf("DES work differs between identical runs: %+v vs %+v", work1, work2)
-			}
-			if w := want[e.ID]; w != work1 {
+			if w := want[e.ID]; w != work {
 				stale = true
-				t.Errorf("DES work %+v, want %+v from desWork", work1, w)
+				t.Errorf("DES work %+v, want %+v from desWork", work, w)
 			}
 		})
 	}
 	if stale {
 		t.Errorf("desWork does not match the registry; observed table:\n%s", observed.String())
+	}
+	if ran == len(expt.All()) { // not narrowed by -run
+		matchGolden(t, campaign.Bytes())
 	}
 }

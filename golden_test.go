@@ -3,7 +3,6 @@ package xtsim_test
 import (
 	"bytes"
 	"os"
-	"runtime"
 	"testing"
 
 	"xtsim/internal/expt"
@@ -12,7 +11,10 @@ import (
 // TestCampaignOutputMatchesGolden locks the rendered short-scale campaign —
 // what `go run ./cmd/xtsim -run all -short` prints on stdout — to the
 // committed experiments_output.txt. Any model or engine change that shifts
-// a table value fails here first, with the diff location.
+// a table value fails here first, with the diff location. The Runner gets
+// 8 workers whatever the host's core count, so experiments and their sweep
+// cells always run concurrently here; TestExperimentsDeterministic renders
+// the same file one experiment at a time.
 //
 // To regenerate after an intentional change:
 //
@@ -21,13 +23,9 @@ func TestCampaignOutputMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full short-scale campaign; skipped in -short")
 	}
-	want, err := os.ReadFile("experiments_output.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	r := &expt.Runner{
-		Jobs:   runtime.NumCPU(),
+		Jobs:   8,
 		Opts:   expt.Options{Short: true},
 		Output: &buf,
 	}
@@ -38,17 +36,23 @@ func TestCampaignOutputMatchesGolden(t *testing.T) {
 		}
 		t.Fatal("campaign had failures; golden comparison skipped")
 	}
-	got := buf.Bytes()
+	matchGolden(t, buf.Bytes())
+}
+
+// matchGolden fails t unless got equals experiments_output.txt, naming the
+// first line that differs and how to regenerate the file.
+func matchGolden(t *testing.T, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile("experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bytes.Equal(got, want) {
 		return
 	}
 	gotLines := bytes.Split(got, []byte("\n"))
 	wantLines := bytes.Split(want, []byte("\n"))
-	n := len(gotLines)
-	if len(wantLines) < n {
-		n = len(wantLines)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(len(gotLines), len(wantLines)); i++ {
 		if !bytes.Equal(gotLines[i], wantLines[i]) {
 			t.Fatalf("campaign output diverges from experiments_output.txt at line %d:\n got: %q\nwant: %q\n(regenerate with: go run ./cmd/xtsim -run all -short > experiments_output.txt)",
 				i+1, gotLines[i], wantLines[i])

@@ -243,7 +243,7 @@ func RunOn(sys *core.System, cfg Config, b Benchmark) Result {
 	return Result{
 		Config:                    cfg,
 		Processors:                cfg.Tasks * cfg.Threads,
-		Sockets:                   sockets(m, mode, cfg.Tasks),
+		Sockets:                   m.Nodes(mode, cfg.Tasks),
 		SimYearsPerDay:            86400.0 / secPerDay / 365.0,
 		DynamicsSecPerDay:         dynDay,
 		PhysicsSecPerDay:          physDay,
@@ -336,11 +336,4 @@ func BestForProcessors(m machine.Machine, mode machine.Mode, procs int, b Benchm
 		return Result{}, fmt.Errorf("cam: no runnable configuration for %d processors on %s", procs, m.Name)
 	}
 	return best, nil
-}
-
-func sockets(m machine.Machine, mode machine.Mode, tasks int) int {
-	if mode == machine.VN && m.CoresPerNode > 1 {
-		return (tasks + m.CoresPerNode - 1) / m.CoresPerNode
-	}
-	return tasks
 }

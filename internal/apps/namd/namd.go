@@ -135,16 +135,9 @@ func Run(m machine.Machine, mode machine.Mode, tasks int, sys System) Result {
 
 	return Result{
 		Tasks:          tasks,
-		Sockets:        sockets(m, mode, tasks),
+		Sockets:        m.Nodes(mode, tasks),
 		SecondsPerStep: elapsed,
 	}
 }
 
 const fftEff = 0.164
-
-func sockets(m machine.Machine, mode machine.Mode, tasks int) int {
-	if mode == machine.VN && m.CoresPerNode > 1 {
-		return (tasks + m.CoresPerNode - 1) / m.CoresPerNode
-	}
-	return tasks
-}

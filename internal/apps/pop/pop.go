@@ -232,7 +232,7 @@ func RunOn(sys *core.System, b Benchmark) Result {
 	secPerDay := baroDay + barotDay
 	return Result{
 		Tasks:               tasks,
-		Sockets:             sockets(m, mode, tasks),
+		Sockets:             m.Nodes(mode, tasks),
 		SimYearsPerDay:      86400.0 / secPerDay / 365.0,
 		BaroclinicSecPerDay: baroDay,
 		BarotropicSecPerDay: barotDay,
@@ -307,11 +307,4 @@ func wrap(x, y, px, py int) int {
 	x = (x + px) % px
 	y = (y + py) % py
 	return y*px + x
-}
-
-func sockets(m machine.Machine, mode machine.Mode, tasks int) int {
-	if mode == machine.VN && m.CoresPerNode > 1 {
-		return (tasks + m.CoresPerNode - 1) / m.CoresPerNode
-	}
-	return tasks
 }

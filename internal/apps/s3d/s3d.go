@@ -236,18 +236,11 @@ func RunOn(sys *core.System, b Benchmark) Result {
 
 	return Result{
 		Tasks:          tasks,
-		Sockets:        sockets(m, mode, tasks),
+		Sockets:        m.Nodes(mode, tasks),
 		SecondsPerStep: elapsed / float64(steps),
 		// Figure 22: core time per grid point per step. Each task is one
 		// core, so core-time = elapsed per task.
 		CostPerPointUS:      elapsed / float64(steps) / pts * 1e6,
 		ComputePhaseSeconds: phaseSeconds / float64(steps),
 	}
-}
-
-func sockets(m machine.Machine, mode machine.Mode, tasks int) int {
-	if mode == machine.VN && m.CoresPerNode > 1 {
-		return (tasks + m.CoresPerNode - 1) / m.CoresPerNode
-	}
-	return tasks
 }

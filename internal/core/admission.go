@@ -73,9 +73,6 @@ func init() {
 		// mpi.Run reports analytic collectives to Plan: their one meet point
 		// is engine-global state.
 		{sharded, "analytic collectives coordinate through engine-global shared state", func(s *System) bool { return s.globalColl }},
-		// Per-link derates are fault injection the closed form does not model;
-		// the exact tier's route walk applies them as the DES does.
-		{hybridAnalytic, "degraded links are outside the analytic closed form", func(s *System) bool { return s.Fabric.Degraded() }},
 		{hybrid, "sharded scheduler owns rank execution", func(s *System) bool {
 			return s.req&sharded != 0 && s.declined(sharded) == ""
 		}},
@@ -109,8 +106,8 @@ func (s *System) vnProxied() bool {
 // engine domain (timeline.Probe) into the fabric's ledgers, whence the
 // MPI runtime takes it, and into any attached filesystem. Later calls
 // re-check the planned engine against the table and panic when
-// configuration made after planning (NoiseAmp, a degraded link, analytic
-// collectives) now blocks it.
+// configuration made after planning (NoiseAmp, analytic collectives) now
+// blocks it.
 func (s *System) Plan(globalColl bool) {
 	s.globalColl = s.globalColl || globalColl
 	if s.planned {

@@ -103,16 +103,6 @@ func TestAdmissionTableRows(t *testing.T) {
 	if !s.EnableHybrid(HybridExact) {
 		t.Fatalf("hybrid declined beside a declined sharded request: %s", s.HybridReason())
 	}
-
-	// Degraded links block only the analytic closed form.
-	s = NewSystem(machine.XT4(), machine.SN, 64)
-	s.Fabric.DegradeLink(s.Fabric.Tor.Route(0, 1)[0], 0.5)
-	if s.EnableHybrid(HybridAnalytic) || !strings.Contains(s.HybridReason(), "degraded") {
-		t.Fatalf("analytic tier admitted a degraded link (%q)", s.HybridReason())
-	}
-	if !s.EnableHybrid(HybridExact) {
-		t.Fatalf("exact tier should price degraded links: %s", s.HybridReason())
-	}
 }
 
 // TestFallbackCountedOncePerPlannedRun pins the ledger's unit: verdict

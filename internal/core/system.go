@@ -131,11 +131,7 @@ func NewSystemSIO(m machine.Machine, mode machine.Mode, nTasks, sioNodes int) *S
 	if sioNodes < 0 {
 		panic(fmt.Sprintf("core: sioNodes = %d", sioNodes))
 	}
-	tasksPerNode := 1
-	if mode == machine.VN && m.CoresPerNode > 1 {
-		tasksPerNode = m.CoresPerNode
-	}
-	nNodes := (nTasks + tasksPerNode - 1) / tasksPerNode
+	nNodes := m.Nodes(mode, nTasks)
 	if nNodes+sioNodes > m.TotalNodes {
 		panic(fmt.Sprintf("core: %d tasks in %v mode plus %d SIO nodes needs %d nodes but %s has %d",
 			nTasks, mode, sioNodes, nNodes+sioNodes, m.Name, m.TotalNodes))
@@ -148,7 +144,7 @@ func NewSystemSIO(m machine.Machine, mode machine.Mode, nTasks, sioNodes int) *S
 		Mode:         mode,
 		Fabric:       network.NewWithSIO(eng, m, nNodes, sioNodes),
 		NumTasks:     nTasks,
-		TasksPerNode: tasksPerNode,
+		TasksPerNode: m.TasksPerNode(mode),
 		Rng:          rand.New(rand.NewSource(1)),
 	}
 	sys.Nodes = make([]*Node, sys.Fabric.Tor.Nodes())

@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"sort"
+	"strconv"
 
 	"xtsim/internal/telemetry"
 )
@@ -212,7 +213,7 @@ func (r *Recorder) Analyze(o AnalyzeOptions) *Report {
 	ranks := make([]Contributor, 0, n)
 	for i, v := range byRank {
 		if v > 0 {
-			ranks = append(ranks, Contributor{Name: "rank " + itoa(i), Seconds: v, Share: share(v)})
+			ranks = append(ranks, Contributor{Name: "rank " + strconv.Itoa(i), Seconds: v, Share: share(v)})
 		}
 	}
 	sortContributors(ranks)
@@ -230,7 +231,7 @@ func (r *Recorder) Analyze(o AnalyzeOptions) *Report {
 	links := make([]Contributor, 0, len(linkIDs))
 	label := o.LinkLabel
 	if label == nil {
-		label = func(id int) string { return "link " + itoa(id) }
+		label = func(id int) string { return "link " + strconv.Itoa(id) }
 	}
 	for _, id := range linkIDs {
 		v := byLink[int32(id)]
@@ -284,7 +285,7 @@ func (r *Recorder) slack(makespan float64, topK int, share func(float64) float64
 	st.MeanSeconds = sum / float64(n)
 	top := make([]Contributor, 0, n)
 	for rank, v := range per {
-		top = append(top, Contributor{Name: "rank " + itoa(rank), Seconds: v, Share: share(v)})
+		top = append(top, Contributor{Name: "rank " + strconv.Itoa(rank), Seconds: v, Share: share(v)})
 	}
 	sortContributors(top)
 	if len(top) > topK {
@@ -304,27 +305,4 @@ func sortContributors(cs []Contributor) {
 		}
 		return false
 	})
-}
-
-// itoa avoids pulling fmt into the per-rank loops.
-func itoa(v int) string {
-	buf := [20]byte{}
-	i := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

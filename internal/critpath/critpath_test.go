@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -168,7 +169,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	export := func() string {
 		var b strings.Builder
 		if err := handGraph().Analyze(AnalyzeOptions{Makespan: 5, LinkLabel: func(id int) string {
-			return "L" + itoa(id)
+			return "L" + strconv.Itoa(id)
 		}}).WriteJSON(&b); err != nil {
 			t.Fatal(err)
 		}

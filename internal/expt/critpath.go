@@ -89,9 +89,6 @@ func runCritPath(res *Result, o Options) error {
 		bench pop.Benchmark
 	}{{"standard CG", b}, {"Chronopoulos-Gear", bCG}} {
 		sys := core.NewSystem(machine.XT4(), machine.VN, popTasks).EnableCritPath()
-		if o.Telemetry {
-			sys.EnableTelemetry()
-		}
 		elapsed := pop.RunBarotropic(sys, v.bench)
 		res.AddSimSeconds(elapsed)
 		rep := sys.CritPathReport()
@@ -135,9 +132,6 @@ func runCritPath(res *Result, o Options) error {
 	var vnRep *critpath.Report
 	for i, mode := range []machine.Mode{machine.SN, machine.VN} {
 		sys := core.NewSystem(machine.XT4(), mode, camTasks).EnableCritPath()
-		if o.Telemetry {
-			sys.EnableTelemetry()
-		}
 		elapsed := cam.RunPhysics(sys, cfg, cb)
 		res.AddSimSeconds(elapsed)
 		rep := sys.CritPathReport()
@@ -184,9 +178,6 @@ func runCritPath(res *Result, o Options) error {
 	// the makespan moves — is thin and evenly spread, the causal version of
 	// Figure 22's near-perfect scaling.
 	sys := core.NewSystem(machine.XT4(), machine.VN, s3dTasks).EnableCritPath()
-	if o.Telemetry {
-		sys.EnableTelemetry()
-	}
 	r := s3d.RunOn(sys, s3d.Weak50())
 	res.AddSimSeconds(r.SecondsPerStep)
 	rep := sys.CritPathReport()

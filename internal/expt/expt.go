@@ -23,7 +23,10 @@
 // state — so a Result depends only on (Experiment, Options). The Runner
 // preserves that property end to end: the rendered campaign output is
 // byte-for-byte identical for any worker count (verified by
-// TestCampaignOutputIdenticalAcrossJobs). Wall-clock metrics are the one
+// TestCampaignOutputIdenticalAcrossJobs; the root package's
+// TestCampaignOutputMatchesGolden renders the campaign with 8 workers and
+// TestExperimentsDeterministic one experiment at a time, and both must
+// equal experiments_output.txt). Wall-clock metrics are the one
 // nondeterministic output; they are confined to Status, the Progress
 // stream, and the wall_seconds artifact field, never the rendered tables.
 //
@@ -67,14 +70,16 @@ type Options struct {
 	// `go test -short` and `xtsim -short`). The shapes remain, the
 	// extreme-scale points are dropped.
 	Short bool `json:"short"`
-	// Telemetry makes experiments that collect telemetry (the congestion
-	// experiment) attach the full JSON export to their output; set by
-	// `xtsim -telemetry`. The summary tables and heatmap appear either way.
+	// Telemetry attaches the telemetry JSON export of the experiments that
+	// collect telemetry for their tables (congestion, ext-io, ext-ckpt) and
+	// of ext-parallel's 4-domain run; set by `xtsim -telemetry`. Like
+	// CritPath and Timeline it only adds an export: the rendered tables
+	// are the same either way.
 	Telemetry bool `json:"telemetry"`
-	// CritPath makes experiments that record causal event graphs (the
-	// critpath experiment) attach the critical-path JSON exports; set by
+	// CritPath attaches the critical-path JSON exports of the critpath
+	// experiment and of ext-ckpt's largest checkpointed run; set by
 	// `xtsim -critpath`. It composes with Telemetry — both exports can
-	// ride on one run. The attribution tables appear either way.
+	// ride on one run.
 	CritPath bool `json:"critpath"`
 	// Hybrid selects the hybrid rank fast path (DESIGN.md §4i) on
 	// ext-petascale's cells, the only experiment it reaches; set by
@@ -90,9 +95,9 @@ type Options struct {
 	// -ckpt-every`. 0 keeps each experiment's default cadence; experiments
 	// without checkpoint phases ignore it.
 	CkptEvery int `json:"ckpt_every"`
-	// Timeline makes timeline-aware experiments (ext-timeline, fig9) record
-	// the phase-resolved flight recorder (DESIGN.md §4k) and attach its JSON
-	// export; set by `xtsim -timeline`. The summary tables appear either way.
+	// Timeline attaches the JSON export of ext-timeline's phase-resolved
+	// flight recorder (DESIGN.md §4k), which records for its tables either
+	// way; set by `xtsim -timeline`.
 	Timeline bool `json:"timeline"`
 }
 

@@ -3,6 +3,7 @@ package expt
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -49,6 +50,15 @@ func TestByIDErrorText(t *testing.T) {
 	}
 }
 
+// shortCampaign runs the registry's -short campaign at -jobs 1, once per
+// test binary, and returns its rendered output and statuses. The
+// per-experiment checks and the -jobs comparison share this run.
+var shortCampaign = sync.OnceValues(func() (string, []Status) {
+	var out bytes.Buffer
+	statuses := (&Runner{Jobs: 1, Opts: Options{Short: true}, Output: &out}).Run(All())
+	return out.String(), statuses
+})
+
 // TestEveryExperimentRunsShort is the whole-system integration test: every
 // registered experiment (every table, figure and ablation) must execute at
 // reduced scale and render a non-empty table.
@@ -58,28 +68,48 @@ func TestEveryExperimentRunsShort(t *testing.T) {
 		// integration test for the full run.
 		t.Skip("integration sweep runs in full mode")
 	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Execute(Options{Short: true})
-			if err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
+	_, statuses := shortCampaign()
+	for _, s := range statuses {
+		s := s
+		t.Run(s.Experiment.ID, func(t *testing.T) {
+			if s.Err != nil {
+				t.Fatalf("%s failed: %v", s.Experiment.ID, s.Err)
 			}
+			res := s.Result
 			if len(res.Blocks) == 0 {
-				t.Fatalf("%s produced no blocks", e.ID)
+				t.Fatalf("%s produced no blocks", s.Experiment.ID)
 			}
 			var buf bytes.Buffer
 			if err := res.Render(&buf); err != nil {
-				t.Fatalf("%s render: %v", e.ID, err)
+				t.Fatalf("%s render: %v", s.Experiment.ID, err)
 			}
 			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", e.ID)
+				t.Fatalf("%s produced no output", s.Experiment.ID)
 			}
 			// Every output should have at least a header and one data row.
 			if lines := strings.Count(buf.String(), "\n"); lines < 2 {
-				t.Fatalf("%s output too short:\n%s", e.ID, buf.String())
+				t.Fatalf("%s output too short:\n%s", s.Experiment.ID, buf.String())
 			}
 		})
+	}
+}
+
+// TestCampaignOutputIdenticalAcrossJobs is the real-registry determinism
+// guarantee: `xtsim -run all -short` renders byte-identical output at any
+// worker count.
+func TestCampaignOutputIdenticalAcrossJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-registry campaign comparison runs in full mode")
+	}
+	seq, _ := shortCampaign()
+	var par bytes.Buffer
+	(&Runner{Jobs: 8, Opts: Options{Short: true}, Output: &par}).Run(All())
+	if seq != par.String() {
+		t.Fatalf("campaign output differs between -jobs 1 (%d bytes) and -jobs 8 (%d bytes)",
+			len(seq), par.Len())
+	}
+	if len(seq) == 0 {
+		t.Fatal("campaign produced no output")
 	}
 }
 

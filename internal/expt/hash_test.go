@@ -51,6 +51,31 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// FuzzOptions drives Validate and Canonical with arbitrary hybrid tiers and
+// checkpoint cadences. Validate must never panic, and two option sets that
+// both validate must be equal whenever their canonical forms are: a
+// collision would let a result cache serve one run's bytes for another's.
+// flags carries each set's four booleans, the first set's in the low
+// nibble.
+func FuzzOptions(f *testing.F) {
+	f.Add(uint8(0), "", 0, "", 0)
+	f.Add(uint8(0xff), "exact", 3, "exact", 3)
+	f.Add(uint8(0x1e), "analytic", 0, "off", -1)
+	f.Add(uint8(0x11), "exact;ckptevery=1", 2, "exact", 1)
+	f.Fuzz(func(t *testing.T, flags uint8, hybA string, ckptA int, hybB string, ckptB int) {
+		opts := func(bits uint8, hybrid string, ckptEvery int) Options {
+			return Options{
+				Short: bits&1 != 0, Telemetry: bits&2 != 0, CritPath: bits&4 != 0, Timeline: bits&8 != 0,
+				Hybrid: hybrid, CkptEvery: ckptEvery,
+			}
+		}
+		a, b := opts(flags, hybA, ckptA), opts(flags>>4, hybB, ckptB)
+		if a.Validate() == nil && b.Validate() == nil && a.Canonical() == b.Canonical() && a != b {
+			t.Fatalf("valid options %+v and %+v share the canonical form %q", a, b, a.Canonical())
+		}
+	})
+}
+
 func TestCacheKeyStableAndSensitive(t *testing.T) {
 	base := CacheKey("fig8", Options{Short: true}, "v1")
 	if base != CacheKey("fig8", Options{Short: true}, "v1") {

@@ -176,7 +176,10 @@ func runExtCkpt(res *Result, o Options) error {
 		v := variants[i%len(variants)]
 		sys := core.NewSystemSIO(machine.XT4(), machine.SN, tasks, sio)
 		sys.EnableTelemetry()
-		if o.CritPath {
+		// -critpath exports the largest checkpointed run's path, so only
+		// that cell records one.
+		exported := o.CritPath && v.ckpt && !v.quiet && tasks == taskCounts[len(taskCounts)-1]
+		if exported {
 			sys.EnableCritPath()
 		}
 		edge := globalEdge / icbrt(tasks)
@@ -215,7 +218,7 @@ func runExtCkpt(res *Result, o Options) error {
 		if v.ckpt {
 			c.epochs = b.Checkpoint.Epochs
 		}
-		if o.CritPath {
+		if exported {
 			c.cp = sys.CritPathReport()
 		}
 		cells[i] = c

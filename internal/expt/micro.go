@@ -236,14 +236,7 @@ func runGlobal(res *Result, o Options, metric string, bench func(*core.System) h
 	}
 	results := make([]hpcc.GlobalResult, len(cells))
 	runCells(res, len(cells), func(i int) {
-		sys := core.NewSystem(cells[i].m, cells[i].mode, cells[i].n)
-		if o.Timeline {
-			// Flight recorder on, export unused: the rendered table stays
-			// byte-identical, which is what lets BenchmarkFig9Timeline* price
-			// the sampling overhead against the identical -timeline-off run.
-			sys.EnableTimeline()
-		}
-		results[i] = bench(sys)
+		results[i] = bench(core.NewSystem(cells[i].m, cells[i].mode, cells[i].n))
 	})
 	t := res.Table()
 	t.Row("sockets", "XT3", "XT4-SN", "XT4-VN(cores)", "XT4-VN(sockets)", "["+metric+"]")

@@ -83,27 +83,6 @@ func TestRunnerOutputIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestCampaignOutputIdenticalAcrossJobs is the real-registry determinism
-// guarantee: `xtsim -run all -short` renders byte-identical output at any
-// worker count.
-func TestCampaignOutputIdenticalAcrossJobs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-registry campaign comparison runs in full mode")
-	}
-	opts := Options{Short: true}
-	var seq bytes.Buffer
-	(&Runner{Jobs: 1, Opts: opts, Output: &seq}).Run(All())
-	var par bytes.Buffer
-	(&Runner{Jobs: 8, Opts: opts, Output: &par}).Run(All())
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Fatalf("campaign output differs between -jobs 1 (%d bytes) and -jobs 8 (%d bytes)",
-			seq.Len(), par.Len())
-	}
-	if seq.Len() == 0 {
-		t.Fatal("campaign produced no output")
-	}
-}
-
 func TestRunnerPanicRecovery(t *testing.T) {
 	exps := fakeCampaign(3)
 	exps[1].Run = func(*Result, Options) error { panic("boom") }

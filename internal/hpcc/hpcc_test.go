@@ -259,10 +259,12 @@ func TestNearSquare(t *testing.T) {
 }
 
 func TestSockets(t *testing.T) {
-	if s := sockets(machine.XT4(), machine.VN, 128); s != 64 {
+	// Global results count nodes, not tasks: VN mode packs two tasks per
+	// XT4 socket.
+	if s := PTRANS(machine.XT4(), machine.VN, 128).Sockets; s != 64 {
 		t.Errorf("VN sockets = %d, want 64", s)
 	}
-	if s := sockets(machine.XT4(), machine.SN, 128); s != 128 {
+	if s := PTRANS(machine.XT4(), machine.SN, 128).Sockets; s != 128 {
 		t.Errorf("SN sockets = %d, want 128", s)
 	}
 }

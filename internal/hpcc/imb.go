@@ -31,10 +31,7 @@ func IMBPingPong(m machine.Machine, mode machine.Mode, sizes []int64) []IMBPoint
 	out := make([]IMBPoint, 0, len(sizes))
 	for _, size := range sizes {
 		size := size
-		nTasks := 2
-		if mode == machine.VN && m.CoresPerNode > 1 {
-			nTasks = 2 * m.CoresPerNode // fill both nodes' cores; probe core 0s
-		}
+		nTasks := 2 * m.TasksPerNode(mode) // fill both nodes' cores; probe core 0s
 		sys := core.NewSystem(m, mode, nTasks)
 		taskB := sys.TasksPerNode // core 0 of node 1
 		elapsed := mpi.Run(sys, mpi.Algorithmic, func(p *mpi.P) {

@@ -216,7 +216,7 @@ func HPLOn(sys *core.System) GlobalResult {
 	})
 	return GlobalResult{
 		Tasks:   tasks,
-		Sockets: sockets(m, mode, tasks),
+		Sockets: m.Nodes(mode, tasks),
 		Value:   kernels.LUFlops(n) / elapsed / 1e12, // TFLOPS
 		Seconds: elapsed,
 	}
@@ -252,7 +252,7 @@ func MPIFFTOn(sys *core.System) GlobalResult {
 	})
 	return GlobalResult{
 		Tasks:   tasks,
-		Sockets: sockets(m, mode, tasks),
+		Sockets: m.Nodes(mode, tasks),
 		Value:   kernels.FFTFlops(total) / elapsed / 1e9, // GFLOPS
 		Seconds: elapsed,
 	}
@@ -301,7 +301,7 @@ func PTRANSOn(sys *core.System) GlobalResult {
 	})
 	return GlobalResult{
 		Tasks:   tasks,
-		Sockets: sockets(m, mode, tasks),
+		Sockets: m.Nodes(mode, tasks),
 		Value:   float64(8*int64(n)*int64(n)) / elapsed / 1e9, // GB/s
 		Seconds: elapsed,
 	}
@@ -342,18 +342,10 @@ func MPIRAOn(sys *core.System) GlobalResult {
 	total := float64(batches) * float64(lookahead) * float64(tasks)
 	return GlobalResult{
 		Tasks:   tasks,
-		Sockets: sockets(m, mode, tasks),
+		Sockets: m.Nodes(mode, tasks),
 		Value:   total / elapsed / 1e9, // GUPS
 		Seconds: elapsed,
 	}
-}
-
-// sockets reports how many sockets (nodes) a run occupies.
-func sockets(m machine.Machine, mode machine.Mode, tasks int) int {
-	if mode == machine.VN && m.CoresPerNode > 1 {
-		return (tasks + m.CoresPerNode - 1) / m.CoresPerNode
-	}
-	return tasks
 }
 
 // nearSquare factors t into pr×pc with pr ≤ pc and pr as large as

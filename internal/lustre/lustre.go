@@ -104,9 +104,7 @@ type FS struct {
 
 	nextFileID int
 	// Stats.
-	MetaOps    uint64
-	BytesRead  uint64
-	BytesWrote uint64
+	MetaOps uint64
 }
 
 // New attaches a filesystem to an existing engine and fabric. When the
@@ -260,7 +258,6 @@ func (f *File) ostFor(offset int64) int {
 type WriteRequest struct {
 	fs     *FS
 	write  bool
-	length int64
 	start  sim.Time
 	finish sim.Time
 
@@ -283,7 +280,7 @@ func (r *WriteRequest) Await(p *sim.Proc) {
 }
 
 // complete retires one stripe; the last one stamps the finish time, feeds
-// the filesystem counters and write-time histogram, and wakes waiters.
+// the write-time histogram, and wakes waiters.
 func (r *WriteRequest) complete() {
 	r.outstanding--
 	if r.outstanding > 0 {
@@ -292,12 +289,9 @@ func (r *WriteRequest) complete() {
 	fs := r.fs
 	r.finish = fs.eng.Now()
 	if r.write {
-		fs.BytesWrote += uint64(r.length)
 		if t := fs.ioStats(); t != nil {
 			t.ObserveWrite(float64(r.finish - r.start))
 		}
-	} else {
-		fs.BytesRead += uint64(r.length)
 	}
 	r.done.Broadcast()
 }
@@ -374,7 +368,7 @@ func (f *File) issue(at sim.Time, clientNode int, offset, length int64, write bo
 // transfer moves length bytes between the client and the file's OSTs,
 // blocking the calling process until the slowest stripe completes.
 func (f *File) transfer(p *sim.Proc, clientNode int, offset, length int64, write bool) {
-	req := WriteRequest{fs: f.fs, write: write, length: length, start: p.Now()}
+	req := WriteRequest{fs: f.fs, write: write, start: p.Now()}
 	f.issue(p.Now(), clientNode, offset, length, write, &req)
 	req.Await(p)
 }
@@ -394,7 +388,7 @@ func (f *File) Read(p *sim.Proc, clientNode int, offset, length int64) {
 // while the caller continues computing. Await the returned request — or
 // the checkpoint layer's Drain — before reusing the buffer's region.
 func (f *File) WriteBehind(p *sim.Proc, clientNode int, offset, length int64) *WriteRequest {
-	req := &WriteRequest{fs: f.fs, write: true, length: length, start: p.Now()}
+	req := &WriteRequest{fs: f.fs, write: true, start: p.Now()}
 	f.issue(p.Now(), clientNode, offset, length, true, req)
 	return req
 }

@@ -22,6 +22,15 @@ func testFS(t *testing.T, cfg Config) (*sim.Engine, *FS) {
 	return eng, fs
 }
 
+// withIOStats installs a telemetry-only probe on fs and returns its I/O
+// counters.
+func withIOStats(fs *FS) *telemetry.IOStats {
+	probe := timeline.NewProbe(nil, nil)
+	probe.IO = telemetry.NewIOStats(fs.OSTs())
+	fs.InstallProbe(probe)
+	return probe.IO
+}
+
 func TestDefaultConfigValid(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -144,14 +153,15 @@ func TestWiderStripingFasterForLargeFile(t *testing.T) {
 
 func TestReadAndWriteAccounting(t *testing.T) {
 	eng, fs := testFS(t, DefaultConfig())
+	tel := withIOStats(fs)
 	eng.Spawn("c", func(p *sim.Proc) {
 		f := fs.Create(p, 2)
 		f.Write(p, 0, 0, 1<<20)
 		f.Read(p, 0, 0, 1<<20)
 	})
 	eng.Run()
-	if fs.BytesWrote != 1<<20 || fs.BytesRead != 1<<20 {
-		t.Fatalf("accounting: wrote %d read %d", fs.BytesWrote, fs.BytesRead)
+	if tel.ClientBytesWritten != 1<<20 || tel.ClientBytesRead != 1<<20 {
+		t.Fatalf("accounting: wrote %d read %d", tel.ClientBytesWritten, tel.ClientBytesRead)
 	}
 }
 
@@ -336,6 +346,7 @@ func TestIORStripeCountBeyondOSTsRejected(t *testing.T) {
 
 func TestWriteBehindOverlapsAndAwaits(t *testing.T) {
 	eng, fs := testFS(t, DefaultConfig())
+	tel := withIOStats(fs)
 	eng.Spawn("c", func(p *sim.Proc) {
 		f := fs.Create(p, 2)
 		issued := p.Now()
@@ -355,8 +366,8 @@ func TestWriteBehindOverlapsAndAwaits(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if fs.BytesWrote != 64<<20 {
-		t.Fatalf("accounting after write-behind: %d", fs.BytesWrote)
+	if tel.ClientBytesWritten != 64<<20 {
+		t.Fatalf("accounting after write-behind: %d", tel.ClientBytesWritten)
 	}
 }
 
@@ -397,10 +408,7 @@ func TestTelemetryConservationOnMixedTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe := timeline.NewProbe(nil, nil)
-		probe.IO = telemetry.NewIOStats(fs.OSTs())
-		fs.InstallProbe(probe)
-		tel := probe.IO
+		tel := withIOStats(fs)
 		for c := 0; c < 4; c++ {
 			c := c
 			eng.Spawn("client", func(p *sim.Proc) {

@@ -218,6 +218,21 @@ func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 // MaxCores reports the full-system core count.
 func (m Machine) MaxCores() int { return m.TotalNodes * m.CoresPerNode }
 
+// TasksPerNode reports how many tasks share a node in mode: every core in
+// VN mode, one in SN mode or on single-core nodes.
+func (m Machine) TasksPerNode(mode Mode) int {
+	if mode == VN && m.CoresPerNode > 1 {
+		return m.CoresPerNode
+	}
+	return 1
+}
+
+// Nodes reports how many nodes (sockets) a run of tasks occupies in mode.
+func (m Machine) Nodes(mode Mode, tasks int) int {
+	per := m.TasksPerNode(mode)
+	return (tasks + per - 1) / per
+}
+
 // TorusFor picks torus dimensions housing at least n nodes, with aspect
 // ratios similar to the ORNL floor plan (wider X/Y than Z). For flat
 // topologies it returns a 1-D "torus" used only for node numbering.

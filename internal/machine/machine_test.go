@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"strings"
@@ -216,6 +217,87 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	}
 	if fields == 0 {
 		t.Fatal("found no float parameters")
+	}
+}
+
+// floatParams returns the machine's float parameters (the float64 fields
+// of its config structs), settable, in declaration order.
+func floatParams(m *Machine) []reflect.Value {
+	var out []reflect.Value
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		s := v.Field(i)
+		if s.Kind() != reflect.Struct {
+			continue
+		}
+		for j := 0; j < s.NumField(); j++ {
+			if f := s.Field(j); f.Kind() == reflect.Float64 {
+				out = append(out, f)
+			}
+		}
+	}
+	return out
+}
+
+// FuzzValidate sets XT4's float parameters from the input, eight bytes (one
+// little-endian float64) each in declaration order; parameters past the
+// input's end keep XT4's values. Validate must never panic and must reject
+// every machine with a non-finite parameter.
+func FuzzValidate(f *testing.F) {
+	enc := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add([]byte{})
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, math.MaxFloat64} {
+		f.Add(enc(x))
+	}
+	// XT4's own values with the last parameter replaced by NaN.
+	xt4 := XT4()
+	var vals []float64
+	for _, p := range floatParams(&xt4) {
+		vals = append(vals, p.Float())
+	}
+	vals[len(vals)-1] = math.NaN()
+	f.Add(enc(vals...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := XT4()
+		finite := true
+		for _, p := range floatParams(&m) {
+			if len(data) < 8 {
+				break
+			}
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+			p.SetFloat(x)
+			finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
+		}
+		if err := m.Validate(); err == nil && !finite {
+			t.Fatalf("a machine with a non-finite parameter passed validation: %+v", m)
+		}
+	})
+}
+
+func TestNodes(t *testing.T) {
+	for _, tc := range []struct {
+		m          Machine
+		mode       Mode
+		tasks      int
+		per, nodes int
+	}{
+		{XT4(), VN, 128, 2, 64},
+		{XT4(), VN, 3, 2, 2}, // a half-filled node still counts
+		{XT4(), SN, 128, 1, 128},
+		{XT3(), VN, 5, 1, 5}, // single-core nodes hold one task in any mode
+	} {
+		if per, nodes := tc.m.TasksPerNode(tc.mode), tc.m.Nodes(tc.mode, tc.tasks); per != tc.per || nodes != tc.nodes {
+			t.Errorf("%s %v, %d tasks: %d tasks/node on %d nodes, want %d on %d",
+				tc.m.Name, tc.mode, tc.tasks, per, nodes, tc.per, tc.nodes)
+		}
 	}
 }
 

@@ -104,7 +104,7 @@ func BenchmarkMPIAllreduce(b *testing.B) {
 }
 
 // BenchmarkMPIHalo measures a full 64-rank S3D-class ghost-exchange run
-// (build system, run, fold stats) on the serial engine versus the sharded
+// (build system, run) on the serial engine versus the sharded
 // scheduler at 2 and 4 domains. The workload is the byte-identical
 // equivalence class of DESIGN.md §4h, so the domain variants measure pure
 // scheduling overhead/speedup, not behavioural change.
@@ -126,7 +126,6 @@ func BenchmarkMPIHalo(b *testing.B) {
 				sys.Run(func(r *core.Rank) {
 					haloBody(4, 4, 4, 3, 8192)(comm.view(r))
 				})
-				w.FoldStats()
 			}
 		})
 	}

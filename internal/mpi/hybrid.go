@@ -35,8 +35,6 @@ func (p *P) hybIsend(dst, tag int, bytes int64, data []float64) *Request {
 	if !ok {
 		panic(hybAbort{})
 	}
-	p.pool.sentMsgs++
-	p.pool.sentBytes += uint64(bytes)
 	if tl.Arrive > w.horizon {
 		w.horizon = tl.Arrive
 	}

@@ -96,18 +96,12 @@ type World struct {
 	comms    int // comm id allocator
 	CollMode CollectiveMode
 
-	// pools holds one recycling pool + send-counter block per scheduling
-	// domain (a single entry in serial mode): flights, payload slabs and
-	// counters all stay domain-private so the sharded scheduler's workers
-	// never contend (see pool.go and DESIGN.md §4d/§4h). Each also holds
-	// its domain's observer probe, the runtime's only observer state.
+	// pools holds one recycling pool per scheduling domain (a single entry
+	// in serial mode): flights and payload slabs stay domain-private so the
+	// sharded scheduler's workers never contend (see pool.go and DESIGN.md
+	// §4d/§4h). Each also holds its domain's observer probe, the runtime's
+	// only observer state.
 	pools []wpool
-
-	// Stats by operation, for the phase breakdowns of Figures 16 and 19.
-	// Accumulated per domain during the run; FoldStats (called by Run)
-	// folds the domain counters into these totals.
-	SentMsgs  uint64
-	SentBytes uint64
 
 	// sess prices a hybrid world's sends, nil for DES worlds; horizon is the
 	// latest arrival time a send booked (see hybrid.go).
@@ -231,20 +225,7 @@ func run(sys *core.System, mode CollectiveMode, body func(p *P)) (end sim.Time, 
 		end = max(end, w.horizon)
 		w.sess.Commit()
 	}
-	w.FoldStats()
 	return end, true
-}
-
-// FoldStats folds the per-domain send counters into the world's public
-// SentMsgs/SentBytes totals. Run calls it after the simulation completes;
-// callers driving sys.Run themselves should call it before reading the
-// totals. Safe to call repeatedly (each call moves the deltas).
-func (w *World) FoldStats() {
-	for i := range w.pools {
-		w.SentMsgs += w.pools[i].sentMsgs
-		w.SentBytes += w.pools[i].sentBytes
-		w.pools[i].sentMsgs, w.pools[i].sentBytes = 0, 0
-	}
 }
 
 func identity(n int) []int {
@@ -384,8 +365,6 @@ func (p *P) isendData(dst, tag int, bytes int64, data []float64) *Request {
 
 	fl := p.newFlight(p.c.members[dst], env)
 	tl := p.c.w.sys.Fabric.Deliver(p.task.Now(), p.msg(dstTask, bytes), fl)
-	p.pool.sentMsgs++
-	p.pool.sentBytes += uint64(bytes)
 
 	req := p.newReq()
 	if pr := p.pool.probe; pr != nil {

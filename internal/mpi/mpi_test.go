@@ -400,9 +400,8 @@ func TestStatsAccumulate(t *testing.T) {
 			p.Recv(0, 0)
 		}
 	})
-	w.FoldStats()
-	if w.SentMsgs != 1 || w.SentBytes != 1000 {
-		t.Fatalf("stats = %d msgs / %d bytes", w.SentMsgs, w.SentBytes)
+	if f := sys.Fabric; f.MsgsDelivered != 1 || f.BytesDelivered != 1000 {
+		t.Fatalf("stats = %d msgs / %d bytes", f.MsgsDelivered, f.BytesDelivered)
 	}
 }
 

@@ -16,19 +16,18 @@ import (
 // free lists need no locks under the sharded scheduler and keep their
 // zero-allocation steady state.
 
-// wpool is one scheduling domain's private pool, send counters and
-// observer probe. Each is touched only by that domain's worker goroutine
-// (serial and hybrid runs: the one engine's); the trailing pad keeps
-// adjacent domains' hot fields off one cache line.
+// wpool is one scheduling domain's private pool and observer probe. Each
+// is touched only by that domain's worker goroutine (serial and hybrid
+// runs: the one engine's); the trailing pad, a full cache line, keeps
+// adjacent domains' hot fields off one line whatever the slice's
+// alignment.
 type wpool struct {
 	freeFlights *flight
 	payload     [][]float64
-	sentMsgs    uint64
-	sentBytes   uint64
 	// probe is the domain's observer, the one its fabric ledger holds; nil
 	// while no observer is on.
 	probe *timeline.Probe
-	_     [5]uint64
+	_     [8]uint64
 }
 
 // flight is the arrival record of one in-flight eager message. It

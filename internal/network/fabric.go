@@ -113,20 +113,14 @@ type Fabric struct {
 	nicRx   []sim.FIFOResource // per-node ejection port (binding on flat fabrics)
 	vnProxy []sim.FIFOResource // per-node VN-mode message-handling core
 
-	// derate holds per-link bandwidth multipliers for fault injection,
-	// indexed by link id. It is nil until the first DegradeLink call, so
-	// the fault-free hot path pays one nil check instead of a map lookup
-	// per link.
-	derate []float64
-
 	// freeVN is a free list of VN-mode arrival records, recycled when the
 	// arrival event fires, so the per-message VN receive path allocates
 	// nothing in steady state.
 	freeVN *vnArrival
 
 	// par is the sharded-delivery state, nil in serial mode — the same
-	// nil-gate idiom as derate and the probe, so the serial hot path pays
-	// one nil check to pick its ledger. See parallel.go and DESIGN.md §4h.
+	// nil-gate idiom as the probe, so the serial hot path pays one nil
+	// check to pick its ledger. See parallel.go and DESIGN.md §4h.
 	par *parState
 
 	// sio lists the torus node ids reserved for service-I/O duty (set by
@@ -400,15 +394,11 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 	head := t0
 	var lastStart sim.Time = t0
 	lastSer := 0.0
+	linkSer := size / link.BW
 	// Hoisted: Reserve can't alias it, but the compiler can't tell.
 	links := lg.links
 	restricted := lg.part != nil || lg.linkOwner != nil
 	for _, id := range route {
-		bw := link.BW
-		if f.derate != nil {
-			bw *= f.derate[id]
-		}
-		linkSer := size / bw
 		req := head + link.HopLatencyUS*usToS
 		var s sim.Time
 		switch {
@@ -492,31 +482,6 @@ func (f *Fabric) deliverRemote(lg *ledger, at sim.Time, msg Msg, onArrive sim.Ar
 	}
 	return Timeline{Depart: at, Injected: injected, Arrive: arrive}
 }
-
-// DegradeLink installs a bandwidth multiplier on one directed link
-// (fault injection: a flaky SeaStar cable or a link running in a degraded
-// width). factor must be in (0, 1]; passing 1 removes the derating.
-// Deterministic routing means traffic crossing the link simply slows —
-// the XT has no adaptive rerouting to hide it, which is what makes slow
-// links so visible operationally.
-func (f *Fabric) DegradeLink(l torus.Link, factor float64) {
-	if factor <= 0 || factor > 1 {
-		panic(fmt.Sprintf("network: link derate factor %g out of (0,1]", factor))
-	}
-	if f.derate == nil {
-		if factor == 1 {
-			return // nothing installed, nothing to remove
-		}
-		f.derate = make([]float64, f.Tor.NumLinks())
-		for i := range f.derate {
-			f.derate[i] = 1
-		}
-	}
-	f.derate[f.Tor.LinkID(l)] = factor
-}
-
-// Degraded reports whether any link has ever been derated (DegradeLink).
-func (f *Fabric) Degraded() bool { return f.derate != nil }
 
 // ZeroLatencyEstimate returns the modelled small-message one-way latency in
 // seconds between two nodes hops apart in the given mode, assuming an idle

@@ -293,59 +293,3 @@ func TestVNProxyStillSerialisesBursts(t *testing.T) {
 		t.Fatalf("burst of %d finished at %.3g s — proxy not serialising (base %.3g)", burst, last, base)
 	}
 }
-
-func TestDegradeLinkSlowsTraffic(t *testing.T) {
-	// Fault injection: a half-width link slows exactly the routes that
-	// cross it — deterministic routing cannot steer around it.
-	m := machine.XT4()
-	m.NIC.InjBW = 100e9 // links are the bottleneck
-	m.NIC.Eff = 1
-	m.NIC.RendezvousThresholdBytes = 1 << 30
-	const bytes = 8 << 20
-
-	run := func(degrade bool) sim.Time {
-		eng := sim.NewEngine()
-		f := New(eng, m, 8)
-		if degrade {
-			route := f.Tor.Route(0, 1)
-			f.DegradeLink(route[0], 0.5)
-		}
-		var tl Timeline
-		eng.After(0, func() {
-			tl = f.Deliver(0, Msg{SrcNode: 0, DstNode: 1, Bytes: bytes, Mode: machine.SN}, nil)
-		})
-		eng.Run()
-		return tl.Arrive
-	}
-	healthy := run(false)
-	degraded := run(true)
-	ratio := degraded / healthy
-	if ratio < 1.7 || ratio > 2.3 {
-		t.Fatalf("half-width link should ≈ double transfer time: ratio %.2f", ratio)
-	}
-	// Removing the derating restores full speed.
-	eng := sim.NewEngine()
-	f := New(eng, m, 8)
-	route := f.Tor.Route(0, 1)
-	f.DegradeLink(route[0], 0.5)
-	f.DegradeLink(route[0], 1.0)
-	var tl Timeline
-	eng.After(0, func() {
-		tl = f.Deliver(0, Msg{SrcNode: 0, DstNode: 1, Bytes: bytes, Mode: machine.SN}, nil)
-	})
-	eng.Run()
-	if diff := tl.Arrive - healthy; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("derate removal did not restore speed: %.3g vs %.3g", tl.Arrive, healthy)
-	}
-}
-
-func TestDegradeLinkValidates(t *testing.T) {
-	eng := sim.NewEngine()
-	f := New(eng, machine.XT4(), 8)
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid derate factor accepted")
-		}
-	}()
-	f.DegradeLink(f.Tor.Route(0, 1)[0], 0)
-}

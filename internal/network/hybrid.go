@@ -29,8 +29,7 @@ type HybridSession struct {
 
 // BeginHybrid opens a pricing session on the fabric, exact or analytic.
 // Whether the fabric may be priced that way at all is core.System's
-// admission table's call (a torus, no sharded delivery, and for the
-// analytic tier no degraded links).
+// admission table's call (a torus and no sharded delivery, among others).
 func (f *Fabric) BeginHybrid(exact bool) *HybridSession {
 	s := &HybridSession{f: f, exact: exact, led: ledger{routes: f.routes}}
 	if exact {

@@ -47,11 +47,6 @@ func TestOneWalkIdenticalAcrossEngines(t *testing.T) {
 	sharded := New(sim.NewEngine(), m, nodes)
 	hybFab := New(sim.NewEngine(), m, nodes)
 	script := neighbourScript(serial.Tor)
-	// A degraded cable, priced by every engine's walk alike.
-	slow := serial.Tor.Route(0, 1)[0]
-	for _, f := range []*Fabric{serial, sharded, hybFab} {
-		f.DegradeLink(slow, 0.5)
-	}
 
 	part := torus.NewPartition(sharded.Tor, 2)
 	if part.NumDomains() != 2 {

@@ -191,7 +191,12 @@ type Engine struct {
 
 	// Stats, exported for tests and for the experiment harness.
 	EventsExecuted uint64
-	ProcsSpawned   int
+
+	// The sharded scheduler allocates its domain engines back to back and
+	// each worker writes its engine's clock, sequence and counters on every
+	// event; a full cache line of padding keeps one engine's hot fields off
+	// the next one's line whatever the allocation's alignment.
+	_ [64]byte
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.

@@ -38,7 +38,6 @@ type Proc struct {
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
 	p := &Proc{eng: e, id: e.procSeq, name: name}
-	e.ProcsSpawned++
 	p.next, p.stop = pull(func(yield func(struct{}) bool) {
 		p.suspend = yield
 		fn(p)

@@ -80,8 +80,6 @@ type PSResource struct {
 	eng *Engine
 	// Capacity is the total service rate in units per second.
 	Capacity float64
-	// Served accumulates total units delivered, for reporting.
-	Served float64
 
 	jobs       []*psJob
 	lastUpdate Time
@@ -136,7 +134,6 @@ func (r *PSResource) advance() {
 		served := (now - r.lastUpdate) * r.Capacity / float64(n)
 		for _, j := range r.jobs {
 			j.remaining -= served
-			r.Served += served
 		}
 	}
 	r.lastUpdate = now

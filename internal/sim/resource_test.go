@@ -160,13 +160,16 @@ func TestPSZeroAmountImmediate(t *testing.T) {
 }
 
 func TestPSServedAccounting(t *testing.T) {
+	// Two jobs share 100 units/s: a's 30 units finish at 0.6 s, and b's
+	// remaining 40 then run alone, so all 100 units are served by 1.0 s.
 	e := NewEngine()
 	r := NewPSResource(e, 100)
-	e.Spawn("a", func(p *Proc) { r.Consume(p, 30) })
-	e.Spawn("b", func(p *Proc) { r.Consume(p, 70) })
+	var aDone, bDone Time
+	e.Spawn("a", func(p *Proc) { r.Consume(p, 30); aDone = p.Now() })
+	e.Spawn("b", func(p *Proc) { r.Consume(p, 70); bDone = p.Now() })
 	e.Run()
-	if !almostEqual(r.Served, 100, 1e-6) {
-		t.Fatalf("served = %v, want 100", r.Served)
+	if !almostEqual(aDone, 0.6, 1e-6) || !almostEqual(bDone, 1.0, 1e-6) {
+		t.Fatalf("jobs finished at %v and %v, want 0.6 and 1.0", aDone, bDone)
 	}
 	if r.Active() != 0 {
 		t.Fatalf("active = %d, want 0", r.Active())

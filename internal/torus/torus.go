@@ -216,9 +216,6 @@ type RouteCache struct {
 	t   Torus
 	max int
 	m   map[uint64][]int32
-
-	// Hits and Misses count lookups, for tests and tuning.
-	Hits, Misses uint64
 }
 
 // NewRouteCache builds a cache over t holding at most maxEntries routes
@@ -230,9 +227,6 @@ func NewRouteCache(t Torus, maxEntries int) *RouteCache {
 	return &RouteCache{t: t, max: maxEntries, m: make(map[uint64][]int32)}
 }
 
-// Topology returns the torus the cache routes over.
-func (c *RouteCache) Topology() Torus { return c.t }
-
 // Len reports the number of cached routes.
 func (c *RouteCache) Len() int { return len(c.m) }
 
@@ -243,10 +237,8 @@ func (c *RouteCache) Len() int { return len(c.m) }
 func (c *RouteCache) LinkIDs(a, b int) []int32 {
 	key := uint64(uint32(a))<<32 | uint64(uint32(b))
 	if ids, ok := c.m[key]; ok {
-		c.Hits++
 		return ids
 	}
-	c.Misses++
 	ids := c.t.AppendLinkIDs(make([]int32, 0, c.t.Hops(a, b)), a, b)
 	if len(c.m) >= c.max {
 		c.m = make(map[uint64][]int32, c.max)
@@ -254,10 +246,6 @@ func (c *RouteCache) LinkIDs(a, b int) []int32 {
 	c.m[key] = ids
 	return ids
 }
-
-// Hops reports the dimension-ordered hop count from a to b, derived from
-// the cached route so repeated queries cost one map probe.
-func (c *RouteCache) Hops(a, b int) int { return len(c.LinkIDs(a, b)) }
 
 // AvgHops returns the exact mean dimension-ordered hop count over all
 // ordered pairs of distinct nodes. It is used to pick representative

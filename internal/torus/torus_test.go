@@ -283,9 +283,6 @@ func TestRouteCacheMatchesRoute(t *testing.T) {
 					t.Fatalf("cache route (%d,%d)[%d] = %d, want %d", a, b, i, ids[i], tor.LinkID(l))
 				}
 			}
-			if c.Hops(a, b) != tor.Hops(a, b) {
-				t.Fatalf("cache hops (%d,%d) = %d, want %d", a, b, c.Hops(a, b), tor.Hops(a, b))
-			}
 		}
 	}
 	if c.Len() != tor.Nodes()*tor.Nodes() {
@@ -298,13 +295,13 @@ func TestRouteCacheHitsAndSharing(t *testing.T) {
 	c := NewRouteCache(tor, 64)
 	first := c.LinkIDs(0, 5)
 	second := c.LinkIDs(0, 5)
-	if c.Misses != 1 || c.Hits != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", c.Hits, c.Misses)
+	if c.Len() != 1 {
+		t.Fatalf("cache holds %d routes after two lookups of one pair, want 1", c.Len())
 	}
-	if len(first) != len(second) {
+	if len(first) == 0 || len(first) != len(second) {
 		t.Fatalf("cached lookups disagree: %v vs %v", first, second)
 	}
-	if len(first) > 0 && &first[0] != &second[0] {
+	if &first[0] != &second[0] {
 		t.Fatal("second lookup did not return the cached slice")
 	}
 }
