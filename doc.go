@@ -36,9 +36,10 @@
 //     nonblocking, collectives as real algorithms with validated analytic
 //     forms for 10k+ ranks.
 //   - internal/hpcc runs the HPCC suite on the simulator (Figures 2-13)
-//     using the real host-executable kernels in internal/kernels;
-//     internal/apps holds the application proxies (CAM, POP, NAMD, S3D,
-//     AORSA — Figures 14-23). internal/lustre models the filesystem.
+//     with the operation counts of internal/kernels, not its host
+//     kernels; internal/apps holds the application proxies (CAM, POP,
+//     NAMD, S3D, AORSA — Figures 14-23). internal/lustre models the
+//     filesystem.
 //   - internal/telemetry, internal/critpath and internal/timeline are the
 //     opt-in observers (System.EnableTelemetry, EnableCritPath,
 //     EnableTimeline). One probe per engine domain (timeline.Probe) feeds
@@ -70,7 +71,7 @@
 //   - cmd/xtsim regenerates every table and figure of the paper
 //     (xtsim -list shows the registry; see DESIGN.md for the index).
 //   - cmd/hpcckern characterises the host machine with the real HPCC-style
-//     kernels.
+//     kernels of internal/kernels, the only program that executes them.
 //   - examples/ holds six runnable programs, including a tracing demo.
 //   - bench_test.go at this root exposes one testing.B benchmark per paper
 //     artifact.

@@ -9,8 +9,10 @@
 // dominated and nearly flat with task count, so it bounds scaling. The
 // proxy reproduces exactly this structure, including the
 // Chronopoulos–Gear variant that halves the Allreduce count (the
-// algorithmic backport shown in Figures 18–19), and uses the real CG
-// kernels' reduction/iteration accounting.
+// algorithmic backport shown in Figures 18–19). It runs no solver: its
+// two and one Allreduces per CG iteration are fixed counts, the ones
+// kernels.TestChronopoulosGearHalvesReductions measures on the host
+// solvers.
 package pop
 
 import (

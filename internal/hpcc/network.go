@@ -68,7 +68,7 @@ func networkProbe(m machine.Machine, mode machine.Mode, nTasks int, msgBytes int
 	tor := sys.Fabric.Tor
 	tpn := sys.TasksPerNode
 	probeCore := 0
-	if mode == machine.VN && m.CoresPerNode > 1 {
+	if tpn > 1 {
 		probeCore = 1
 	}
 	taskOf := func(node int) int { return node*tpn + probeCore }
@@ -157,7 +157,7 @@ func BidirBandwidth(m machine.Machine, mode machine.Mode, pairs int, sizes []int
 	out := make([]BidirPoint, 0, len(sizes))
 	for _, size := range sizes {
 		nTasks := 4
-		if mode == machine.SN || m.CoresPerNode == 1 {
+		if m.TasksPerNode(mode) == 1 {
 			nTasks = 2
 			if pairs == 2 {
 				// Two pairs need two tasks per node: only meaningful in

@@ -19,8 +19,8 @@ type Operator interface {
 	Dim() int
 }
 
-// CGStats reports the communication-relevant counts of a solve: the POP
-// proxy replays them against the simulated Allreduce.
+// CGStats reports the communication-relevant counts of a solve: in a
+// distributed solver, the Allreduce calls and halo exchanges it would make.
 type CGStats struct {
 	Iterations int
 	// Reductions is the number of global inner-product reductions

@@ -1,15 +1,17 @@
-// Package kernels provides real, host-executable implementations of the
-// computational kernels underlying the paper's benchmarks: DGEMM/ZGEMM,
-// radix-2 FFT, STREAM, HPCC RandomAccess, PTRANS, LU factorisation (real
-// and complex), conjugate gradient (standard and Chronopoulos–Gear),
-// high-order finite-difference stencils, and a six-stage low-storage
-// Runge–Kutta integrator.
+// Package kernels holds the host-executable kernels of the HPCC locality
+// taxonomy (§5.1) and the operation-count formulas the simulator uses in
+// their place.
 //
-// These kernels serve three purposes: they are correct reference
-// implementations with unit and property tests; their testing.B benchmarks
-// characterise the host the way HPCC characterised the XT4 (validating the
-// temporal/spatial locality taxonomy of §5.1); and their flop/byte counts
-// parameterise the simulator's compute-cost model.
+// cmd/hpcckern times the five kernels on the host, the way HPCC
+// characterised the XT4: blocked DGEMM, the radix-2 FFT, the STREAM triad,
+// RandomAccess and the PTRANS transpose. examples/popcg runs the two
+// conjugate-gradient variants (standard and Chronopoulos–Gear) on a 2-D
+// Poisson operator. The simulator executes none of them; it uses their
+// formulas instead: DGEMMFlops, FFTFlops and TriadBytes size simulated
+// kernels' work, LUFlops prices AORSA's solve and gives HPL's rate, and the
+// stencil widths and HaloBytesPerFace size S3D's halo exchanges.
+// GEMMNaive, DFTSlow, IFFT, TransposeNaive and RandomAccessVerify are the
+// oracles the kernels' tests compare against.
 package kernels
 
 import "fmt"
@@ -33,13 +35,6 @@ func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i,j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	out := NewDense(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // DGEMMFlops returns the floating-point operation count of an m×k by k×n
 // matrix multiply (the quantity HPCC reports rates against).
@@ -103,72 +98,4 @@ func checkGEMM(a, b, c *Dense) {
 		panic(fmt.Sprintf("kernels: GEMM shape mismatch %dx%d * %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-}
-
-// ZDense is a dense row-major complex128 matrix, used by the AORSA proxy:
-// the paper's §6.5 solver operates on a dense complex-valued linear system.
-type ZDense struct {
-	Rows, Cols int
-	Data       []complex128
-}
-
-// NewZDense allocates a zero complex matrix.
-func NewZDense(rows, cols int) *ZDense {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("kernels: invalid matrix shape %dx%d", rows, cols))
-	}
-	return &ZDense{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
-}
-
-// At returns element (i,j).
-func (m *ZDense) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i,j).
-func (m *ZDense) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *ZDense) Clone() *ZDense {
-	out := NewZDense(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// ZGEMMFlops returns the real-flop count of a complex GEMM (4 mults + 4
-// adds per complex multiply-add).
-func ZGEMMFlops(m, k, n int) float64 { return 8 * float64(m) * float64(k) * float64(n) }
-
-// ZGEMM computes C += A*B on complex matrices with cache blocking.
-func ZGEMM(a, b, c *ZDense) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("kernels: ZGEMM shape mismatch")
-	}
-	m, k, n := a.Rows, a.Cols, b.Cols
-	const blk = 48
-	for i0 := 0; i0 < m; i0 += blk {
-		imax := min(i0+blk, m)
-		for k0 := 0; k0 < k; k0 += blk {
-			kmax := min(k0+blk, k)
-			for j0 := 0; j0 < n; j0 += blk {
-				jmax := min(j0+blk, n)
-				for i := i0; i < imax; i++ {
-					arow := a.Data[i*k : (i+1)*k]
-					crow := c.Data[i*n : (i+1)*n]
-					for kk := k0; kk < kmax; kk++ {
-						aik := arow[kk]
-						brow := b.Data[kk*n : (kk+1)*n]
-						for j := j0; j < jmax; j++ {
-							crow[j] += aik * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

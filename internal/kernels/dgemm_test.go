@@ -90,57 +90,6 @@ func TestDGEMMFlops(t *testing.T) {
 	}
 }
 
-func TestZGEMMMatchesRealEmbedding(t *testing.T) {
-	// For real-valued complex matrices, ZGEMM must agree with GEMM.
-	rng := rand.New(rand.NewSource(2))
-	const n = 37
-	a := randomDense(rng, n, n)
-	b := randomDense(rng, n, n)
-	za := NewZDense(n, n)
-	zb := NewZDense(n, n)
-	for i := range a.Data {
-		za.Data[i] = complex(a.Data[i], 0)
-		zb.Data[i] = complex(b.Data[i], 0)
-	}
-	c := NewDense(n, n)
-	zc := NewZDense(n, n)
-	GEMM(a, b, c)
-	ZGEMM(za, zb, zc)
-	for i := range c.Data {
-		if math.Abs(real(zc.Data[i])-c.Data[i]) > 1e-10 || math.Abs(imag(zc.Data[i])) > 1e-12 {
-			t.Fatalf("element %d: %v vs %v", i, zc.Data[i], c.Data[i])
-		}
-	}
-}
-
-func TestZGEMMComplexArithmetic(t *testing.T) {
-	// (i·I) * (i·I) = -I.
-	const n = 4
-	a := NewZDense(n, n)
-	b := NewZDense(n, n)
-	c := NewZDense(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, complex(0, 1))
-		b.Set(i, i, complex(0, 1))
-	}
-	ZGEMM(a, b, c)
-	for i := 0; i < n; i++ {
-		if c.At(i, i) != complex(-1, 0) {
-			t.Fatalf("(iI)² diag = %v, want -1", c.At(i, i))
-		}
-	}
-}
-
-func TestDenseCloneIndependent(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 5)
-	b := a.Clone()
-	b.Set(0, 0, 9)
-	if a.At(0, 0) != 5 {
-		t.Fatal("clone aliases original")
-	}
-}
-
 func BenchmarkDGEMMBlocked(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 256

@@ -66,18 +66,6 @@ func fftDir(x []complex128, sign float64) {
 	}
 }
 
-// FFT2Radix4Stride is a strided transform helper used by the distributed
-// MPI-FFT proxy: it transforms rows of an nRows × rowLen matrix laid out
-// contiguously.
-func FFTRows(data []complex128, nRows, rowLen int) {
-	if len(data) != nRows*rowLen {
-		panic(fmt.Sprintf("kernels: FFTRows shape mismatch: %d != %d*%d", len(data), nRows, rowLen))
-	}
-	for r := 0; r < nRows; r++ {
-		FFT(data[r*rowLen : (r+1)*rowLen])
-	}
-}
-
 // DFTSlow is the O(n²) reference transform used to validate FFT.
 func DFTSlow(x []complex128) []complex128 {
 	n := len(x)

@@ -118,31 +118,6 @@ func TestFFTNonPowerOfTwoPanics(t *testing.T) {
 	FFT(make([]complex128, 12))
 }
 
-func TestFFTRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const rows, rowLen = 4, 32
-	data := randomComplex(rng, rows*rowLen)
-	want := make([]complex128, 0, len(data))
-	for r := 0; r < rows; r++ {
-		row := append([]complex128(nil), data[r*rowLen:(r+1)*rowLen]...)
-		FFT(row)
-		want = append(want, row...)
-	}
-	FFTRows(data, rows, rowLen)
-	if d := maxCmplxDiff(data, want); d > 1e-12 {
-		t.Fatalf("FFTRows diff %g", d)
-	}
-}
-
-func TestFFTRowsShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad shape did not panic")
-		}
-	}()
-	FFTRows(make([]complex128, 10), 3, 4)
-}
-
 func TestFFTFlopsConvention(t *testing.T) {
 	if got := FFTFlops(1024); got != 5*1024*10 {
 		t.Fatalf("FFTFlops(1024) = %v", got)

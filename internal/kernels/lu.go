@@ -1,189 +1,8 @@
 package kernels
 
-import (
-	"fmt"
-	"math"
-	"math/cmplx"
-)
-
 // LUFlops is the HPL operation-count convention for an n×n factorise+solve:
 // 2n³/3 + 3n²/2.
 func LUFlops(n int) float64 {
 	fn := float64(n)
 	return 2*fn*fn*fn/3 + 3*fn*fn/2
-}
-
-// LU factorises A in place with partial pivoting (Doolittle), returning the
-// pivot vector. It is the computational heart of HPL (Figure 8) and — in
-// its complex form below — of the AORSA solver (§6.5).
-func LU(a *Dense) ([]int, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("kernels: LU needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	piv := make([]int, n)
-	for k := 0; k < n; k++ {
-		// Partial pivot.
-		p, pmax := k, math.Abs(a.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(a.At(i, k)); v > pmax {
-				p, pmax = i, v
-			}
-		}
-		if pmax == 0 {
-			return nil, fmt.Errorf("kernels: LU singular at column %d", k)
-		}
-		piv[k] = p
-		if p != k {
-			swapRows(a.Data, a.Cols, p, k)
-		}
-		// Eliminate below the pivot.
-		inv := 1 / a.At(k, k)
-		for i := k + 1; i < n; i++ {
-			lik := a.At(i, k) * inv
-			a.Set(i, k, lik)
-			ai := a.Data[i*n:]
-			ak := a.Data[k*n:]
-			for j := k + 1; j < n; j++ {
-				ai[j] -= lik * ak[j]
-			}
-		}
-	}
-	return piv, nil
-}
-
-// LUSolve solves A x = b given the in-place factorisation and pivots.
-func LUSolve(lu *Dense, piv []int, b []float64) []float64 {
-	n := lu.Rows
-	if len(b) != n || len(piv) != n {
-		panic("kernels: LUSolve dimension mismatch")
-	}
-	x := make([]float64, n)
-	copy(x, b)
-	// Apply pivots and forward-substitute L (unit diagonal).
-	for k := 0; k < n; k++ {
-		if piv[k] != k {
-			x[k], x[piv[k]] = x[piv[k]], x[k]
-		}
-		for i := k + 1; i < n; i++ {
-			x[i] -= lu.At(i, k) * x[k]
-		}
-	}
-	// Back-substitute U.
-	for i := n - 1; i >= 0; i-- {
-		for j := i + 1; j < n; j++ {
-			x[i] -= lu.At(i, j) * x[j]
-		}
-		x[i] /= lu.At(i, i)
-	}
-	return x
-}
-
-// Residual returns the max-norm of A·x − b (A is the original matrix),
-// the HPL correctness check.
-func Residual(a *Dense, x, b []float64) float64 {
-	n := a.Rows
-	worst := 0.0
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		row := a.Data[i*a.Cols:]
-		for j := 0; j < n; j++ {
-			sum += row[j] * x[j]
-		}
-		if r := math.Abs(sum - b[i]); r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
-func swapRows(data []float64, cols, i, j int) {
-	ri := data[i*cols : (i+1)*cols]
-	rj := data[j*cols : (j+1)*cols]
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
-
-// ZLU factorises a complex matrix in place with partial pivoting — the
-// complex-coefficient HPL variant of §6.5 ("locally modified for use with
-// complex coefficients").
-func ZLU(a *ZDense) ([]int, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("kernels: ZLU needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	piv := make([]int, n)
-	for k := 0; k < n; k++ {
-		p, pmax := k, cmplx.Abs(a.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := cmplx.Abs(a.At(i, k)); v > pmax {
-				p, pmax = i, v
-			}
-		}
-		if pmax == 0 {
-			return nil, fmt.Errorf("kernels: ZLU singular at column %d", k)
-		}
-		piv[k] = p
-		if p != k {
-			ri := a.Data[p*n : (p+1)*n]
-			rk := a.Data[k*n : (k+1)*n]
-			for c := range ri {
-				ri[c], rk[c] = rk[c], ri[c]
-			}
-		}
-		inv := 1 / a.At(k, k)
-		for i := k + 1; i < n; i++ {
-			lik := a.At(i, k) * inv
-			a.Set(i, k, lik)
-			ai := a.Data[i*n:]
-			ak := a.Data[k*n:]
-			for j := k + 1; j < n; j++ {
-				ai[j] -= lik * ak[j]
-			}
-		}
-	}
-	return piv, nil
-}
-
-// ZLUSolve solves A x = b for the complex factorisation.
-func ZLUSolve(lu *ZDense, piv []int, b []complex128) []complex128 {
-	n := lu.Rows
-	if len(b) != n || len(piv) != n {
-		panic("kernels: ZLUSolve dimension mismatch")
-	}
-	x := make([]complex128, n)
-	copy(x, b)
-	for k := 0; k < n; k++ {
-		if piv[k] != k {
-			x[k], x[piv[k]] = x[piv[k]], x[k]
-		}
-		for i := k + 1; i < n; i++ {
-			x[i] -= lu.At(i, k) * x[k]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		for j := i + 1; j < n; j++ {
-			x[i] -= lu.At(i, j) * x[j]
-		}
-		x[i] /= lu.At(i, i)
-	}
-	return x
-}
-
-// ZResidual returns the max-norm of A·x − b for complex systems.
-func ZResidual(a *ZDense, x, b []complex128) float64 {
-	n := a.Rows
-	worst := 0.0
-	for i := 0; i < n; i++ {
-		var sum complex128
-		row := a.Data[i*a.Cols:]
-		for j := 0; j < n; j++ {
-			sum += row[j] * x[j]
-		}
-		if r := cmplx.Abs(sum - b[i]); r > worst {
-			worst = r
-		}
-	}
-	return worst
 }

@@ -4,127 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func diagonallyDominant(rng *rand.Rand, n int) *Dense {
-	a := randomDense(rng, n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n)+1)
-	}
-	return a
-}
-
-func TestLUSolveResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{1, 2, 10, 50, 120} {
-		a := diagonallyDominant(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		lu := a.Clone()
-		piv, err := LU(lu)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		x := LUSolve(lu, piv, b)
-		if r := Residual(a, x, b); r > 1e-8 {
-			t.Errorf("n=%d residual %g", n, r)
-		}
-	}
-}
-
-func TestLUSingularDetected(t *testing.T) {
-	a := NewDense(3, 3) // all zeros
-	if _, err := LU(a); err == nil {
-		t.Fatal("singular matrix not detected")
-	}
-}
-
-func TestLUNonSquareRejected(t *testing.T) {
-	if _, err := LU(NewDense(3, 4)); err == nil {
-		t.Fatal("non-square matrix not rejected")
-	}
-}
-
-func TestLUPivotingHandlesZeroDiagonal(t *testing.T) {
-	// [[0,1],[1,0]] requires a pivot swap.
-	a := NewDense(2, 2)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	lu := a.Clone()
-	piv, err := LU(lu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := LUSolve(lu, piv, []float64{3, 5})
-	if math.Abs(x[0]-5) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
-		t.Fatalf("x = %v, want [5 3]", x)
-	}
-}
-
-// Property: LU solve inverts matvec for random well-conditioned systems.
-func TestLURoundTripProperty(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw%24) + 1
-		rng := rand.New(rand.NewSource(seed))
-		a := diagonallyDominant(rng, n)
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		// b = A * want
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				b[i] += a.At(i, j) * want[j]
-			}
-		}
-		lu := a.Clone()
-		piv, err := LU(lu)
-		if err != nil {
-			return false
-		}
-		x := LUSolve(lu, piv, b)
-		return maxAbsDiff(x, want) < 1e-7
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZLUSolveResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{1, 5, 40, 90} {
-		a := NewZDense(n, n)
-		for i := range a.Data {
-			a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+complex(float64(n)+1, float64(n)+1))
-		}
-		b := make([]complex128, n)
-		for i := range b {
-			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		lu := a.Clone()
-		piv, err := ZLU(lu)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		x := ZLUSolve(lu, piv, b)
-		if r := ZResidual(a, x, b); r > 1e-8 {
-			t.Errorf("n=%d residual %g", n, r)
-		}
-	}
-}
-
-func TestZLUSingularDetected(t *testing.T) {
-	if _, err := ZLU(NewZDense(2, 2)); err == nil {
-		t.Fatal("singular complex matrix not detected")
-	}
-}
 
 func TestLUFlopsConvention(t *testing.T) {
 	// HPL: 2n³/3 + 3n²/2.
@@ -231,20 +111,6 @@ func TestPoissonOperatorSymmetric(t *testing.T) {
 	if math.Abs(dot(ax, y)-dot(x, ay)) > 1e-9 {
 		t.Fatal("Poisson operator is not symmetric")
 	}
-}
-
-func BenchmarkLU500(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 500
-	orig := diagonallyDominant(rng, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := orig.Clone()
-		if _, err := LU(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(LUFlops(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
 func BenchmarkCGPoisson(b *testing.B) {

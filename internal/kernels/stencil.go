@@ -1,12 +1,9 @@
 package kernels
 
-import "fmt"
-
-// High-order finite-difference kernels with S3D's discretisation (§6.4):
-// eighth-order centred first derivatives (nine-point stencil) and a
-// tenth-order low-pass filter (eleven-point stencil). The stencil widths
-// determine the ghost-zone depth — and therefore the halo-exchange sizes —
-// of the S3D proxy.
+// S3D's discretisation (§6.4) uses eighth-order centred first derivatives
+// (a nine-point stencil) and a tenth-order low-pass filter (an eleven-point
+// stencil). The simulator runs neither: their one-sided widths set the
+// ghost-zone depth, and so the halo-exchange sizes, of the S3D proxy.
 
 // Deriv8Width is the one-sided width of the eighth-order derivative
 // stencil (nine points total → ghost zones of four planes).
@@ -15,111 +12,6 @@ const Deriv8Width = 4
 // Filter10Width is the one-sided width of the tenth-order filter stencil
 // (eleven points total → ghost zones of five planes).
 const Filter10Width = 5
-
-// deriv8c are the centred eighth-order first-derivative coefficients for
-// offsets 1..4 (antisymmetric): f'_i ≈ Σ c_k (f_{i+k} − f_{i−k}) / h.
-var deriv8c = [4]float64{4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0}
-
-// Deriv8 computes the eighth-order first derivative of f with spacing h
-// into df for the interior points [4, n−4). Callers supply ghost values in
-// f's first and last four entries (exactly how S3D's MPI version works).
-func Deriv8(df, f []float64, h float64) {
-	if len(df) != len(f) {
-		panic(fmt.Sprintf("kernels: Deriv8 length mismatch %d vs %d", len(df), len(f)))
-	}
-	n := len(f)
-	if n < 2*Deriv8Width+1 {
-		panic(fmt.Sprintf("kernels: Deriv8 needs at least %d points, got %d", 2*Deriv8Width+1, n))
-	}
-	inv := 1 / h
-	for i := Deriv8Width; i < n-Deriv8Width; i++ {
-		d := deriv8c[0]*(f[i+1]-f[i-1]) +
-			deriv8c[1]*(f[i+2]-f[i-2]) +
-			deriv8c[2]*(f[i+3]-f[i-3]) +
-			deriv8c[3]*(f[i+4]-f[i-4])
-		df[i] = d * inv
-	}
-}
-
-// filter10c are the binomial coefficients of the tenth-difference
-// dissipation operator δ¹⁰ with alternating signs.
-var filter10c = [11]float64{1, -10, 45, -120, 210, -252, 210, -120, 45, -10, 1}
-
-// Filter10 applies the explicit tenth-order filter g_i = f_i + δ¹⁰f_i/2¹⁰
-// (with the alternating-sign coefficients above, the correction vanishes on
-// polynomials up to degree nine and equals −f_i on the odd–even mode) to
-// the interior points [5, n−5). S3D uses this filter to damp spurious
-// oscillations (§6.4).
-func Filter10(g, f []float64) {
-	if len(g) != len(f) {
-		panic(fmt.Sprintf("kernels: Filter10 length mismatch %d vs %d", len(g), len(f)))
-	}
-	n := len(f)
-	if n < 2*Filter10Width+1 {
-		panic(fmt.Sprintf("kernels: Filter10 needs at least %d points, got %d", 2*Filter10Width+1, n))
-	}
-	const scale = 1.0 / 1024.0
-	for i := Filter10Width; i < n-Filter10Width; i++ {
-		var d float64
-		for k := -Filter10Width; k <= Filter10Width; k++ {
-			d += filter10c[k+Filter10Width] * f[i+k]
-		}
-		g[i] = f[i] + scale*d
-	}
-}
-
-// Field3D is a dense 3-D scalar field with ghost layers, the S3D data
-// layout. Interior extents are NX×NY×NZ; G ghost planes pad every face.
-type Field3D struct {
-	NX, NY, NZ int
-	G          int // ghost width
-	Data       []float64
-}
-
-// NewField3D allocates a field with the given interior size and ghost
-// width.
-func NewField3D(nx, ny, nz, g int) *Field3D {
-	if nx < 1 || ny < 1 || nz < 1 || g < 0 {
-		panic(fmt.Sprintf("kernels: invalid field %dx%dx%d ghost %d", nx, ny, nz, g))
-	}
-	sx, sy, sz := nx+2*g, ny+2*g, nz+2*g
-	return &Field3D{NX: nx, NY: ny, NZ: nz, G: g, Data: make([]float64, sx*sy*sz)}
-}
-
-// Index returns the flat index of interior coordinate (i,j,k); ghost cells
-// are addressed with negative or ≥N coordinates.
-func (f *Field3D) Index(i, j, k int) int {
-	sx, sy := f.NX+2*f.G, f.NY+2*f.G
-	return (k+f.G)*sx*sy + (j+f.G)*sx + (i + f.G)
-}
-
-// At returns the value at interior coordinate (i,j,k).
-func (f *Field3D) At(i, j, k int) float64 { return f.Data[f.Index(i, j, k)] }
-
-// Set assigns the value at interior coordinate (i,j,k).
-func (f *Field3D) Set(i, j, k int, v float64) { f.Data[f.Index(i, j, k)] = v }
-
-// DerivX computes the eighth-order x-derivative of f into df (interior
-// points only; f's ghost layers must be filled). Ghost width must be at
-// least Deriv8Width.
-func (f *Field3D) DerivX(df *Field3D, h float64) {
-	if f.G < Deriv8Width {
-		panic("kernels: ghost width too small for Deriv8")
-	}
-	inv := 1 / h
-	for k := 0; k < f.NZ; k++ {
-		for j := 0; j < f.NY; j++ {
-			for i := 0; i < f.NX; i++ {
-				base := f.Index(i, j, k)
-				d := deriv8c[0]*(f.Data[base+1]-f.Data[base-1]) +
-					deriv8c[1]*(f.Data[base+2]-f.Data[base-2]) +
-					deriv8c[2]*(f.Data[base+3]-f.Data[base-3]) +
-					deriv8c[3]*(f.Data[base+4]-f.Data[base-4])
-				df.Data[df.Index(i, j, k)] = d * inv
-			}
-		}
-	}
-}
 
 // HaloBytesPerFace returns the ghost-exchange payload for one face of a
 // decomposed field: width ghost planes of the face area, 8 bytes per

@@ -2,39 +2,17 @@ package kernels
 
 import "fmt"
 
-// The four STREAM operations, exactly as McCalpin defines them. These are
-// the low-temporal/high-spatial locality kernels of the HPCC taxonomy
-// (§5.1): one pass over long arrays with no reuse, so performance is the
-// socket's streaming memory bandwidth — which is why a single Opteron core
-// can nearly saturate it and the second core adds almost nothing
-// (Figure 7).
-
-// StreamCopy performs c[i] = a[i]. Bytes moved: 16 per element.
-func StreamCopy(c, a []float64) {
-	checkStream2(c, a)
-	copy(c, a)
-}
-
-// StreamScale performs b[i] = s*c[i]. Bytes moved: 16 per element.
-func StreamScale(b, c []float64, s float64) {
-	checkStream2(b, c)
-	for i := range b {
-		b[i] = s * c[i]
-	}
-}
-
-// StreamAdd performs c[i] = a[i] + b[i]. Bytes moved: 24 per element.
-func StreamAdd(c, a, b []float64) {
-	checkStream3(c, a, b)
-	for i := range c {
-		c[i] = a[i] + b[i]
-	}
-}
-
-// StreamTriad performs a[i] = b[i] + s*c[i] — the headline STREAM figure.
-// Bytes moved: 24 per element (32 counting write-allocate).
+// StreamTriad performs a[i] = b[i] + s*c[i], the headline STREAM operation
+// as McCalpin defines it. STREAM is the low-temporal/high-spatial locality
+// kernel of the HPCC taxonomy (§5.1): one pass over long arrays with no
+// reuse, so performance is the socket's streaming memory bandwidth — which
+// is why a single Opteron core can nearly saturate it and the second core
+// adds almost nothing (Figure 7). Bytes moved: 24 per element (32 counting
+// write-allocate).
 func StreamTriad(a, b, c []float64, s float64) {
-	checkStream3(a, b, c)
+	if len(a) != len(b) || len(b) != len(c) {
+		panic(fmt.Sprintf("kernels: stream length mismatch %d/%d/%d", len(a), len(b), len(c)))
+	}
 	for i := range a {
 		a[i] = b[i] + s*c[i]
 	}
@@ -43,15 +21,3 @@ func StreamTriad(a, b, c []float64, s float64) {
 // TriadBytes returns the STREAM convention byte count for an n-element
 // triad.
 func TriadBytes(n int) float64 { return 24 * float64(n) }
-
-func checkStream2(a, b []float64) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("kernels: stream length mismatch %d vs %d", len(a), len(b)))
-	}
-}
-
-func checkStream3(a, b, c []float64) {
-	if len(a) != len(b) || len(b) != len(c) {
-		panic(fmt.Sprintf("kernels: stream length mismatch %d/%d/%d", len(a), len(b), len(c)))
-	}
-}

@@ -15,24 +15,6 @@ func TestStreamOps(t *testing.T) {
 		b[i] = float64(i)
 		c[i] = float64(2 * i)
 	}
-	StreamCopy(a, b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("copy failed")
-		}
-	}
-	StreamScale(a, c, 3)
-	for i := range a {
-		if a[i] != 6*float64(i) {
-			t.Fatal("scale failed")
-		}
-	}
-	StreamAdd(a, b, c)
-	for i := range a {
-		if a[i] != 3*float64(i) {
-			t.Fatal("add failed")
-		}
-	}
 	StreamTriad(a, b, c, 2)
 	for i := range a {
 		if a[i] != float64(i)+4*float64(i) {

@@ -1,7 +1,5 @@
 package mpi
 
-import "math"
-
 // Additional collectives: ReduceScatter and Scan (exclusive prefix is not
 // provided; MPI_Scan is inclusive). POP's production configurations use
 // ReduceScatter-based allreduce variants, and these complete the
@@ -26,9 +24,7 @@ func (p *P) ReduceScatter(op Op, bytesEach int64, data []float64) []float64 {
 		return cloneFloats(data)
 	}
 	if p.useAnalytic() {
-		alpha, invBW := p.netParams()
-		rounds := math.Ceil(math.Log2(float64(n)))
-		p.analytic(func() float64 { return rounds * (alpha + float64(bytesEach)*invBW) })
+		p.logDepth(bytesEach)
 		full := p.accumulateShared(op, data)
 		return scatterBlock(full, p.me, n)
 	}
@@ -73,9 +69,7 @@ func (p *P) Scan(op Op, bytes int64, data []float64) []float64 {
 		return acc
 	}
 	if p.useAnalytic() {
-		alpha, invBW := p.netParams()
-		rounds := math.Ceil(math.Log2(float64(n)))
-		p.analytic(func() float64 { return rounds * (alpha + float64(bytes)*invBW) })
+		p.logDepth(bytes)
 		// The last arrival folds every rank's prefix left to right through
 		// the meet (cost already charged); each rank takes its own.
 		m := p.meet(nil, func(m *meet) { m.put(p.me, n, data) }, func(m *meet) {

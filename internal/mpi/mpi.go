@@ -629,6 +629,14 @@ func (p *P) analytic(cost func() float64) {
 	pr.Blocked(p.task.ID, entry, p.task.Now(), int(p.curClass), critpath.KindColl, m.edge)
 }
 
+// logDepth charges the closed form of a log-depth collective on the meet:
+// ⌈log₂ n⌉ rounds, each one latency plus bytes at the NIC's bandwidth.
+func (p *P) logDepth(bytes int64) {
+	alpha, invBW := p.netParams()
+	rounds := math.Ceil(math.Log2(float64(len(p.c.group))))
+	p.analytic(func() float64 { return rounds * (alpha + float64(bytes)*invBW) })
+}
+
 func (p *P) useAnalytic() bool {
 	switch p.c.w.CollMode {
 	case Algorithmic:
@@ -644,10 +652,10 @@ func (p *P) useAnalytic() bool {
 func (p *P) netParams() (alpha, invBW float64) {
 	sys := p.c.w.sys
 	hops := int(sys.Fabric.Tor.AvgHops())
-	// In VN mode half the endpoints are far cores on average.
-	far := sys.Mode == machine.VN && sys.M.CoresPerNode > 1
 	alpha = sys.Fabric.ZeroLatencyEstimate(hops, sys.Mode, false)
-	if far {
+	// With several tasks per node (VN mode) half the endpoints are far
+	// cores on average.
+	if sys.TasksPerNode > 1 {
 		alpha = 0.5*alpha + 0.5*sys.Fabric.ZeroLatencyEstimate(hops, sys.Mode, true)
 	}
 	return alpha, 1 / sys.M.NIC.EffBW()
@@ -682,9 +690,7 @@ func (p *P) Barrier() {
 		return
 	}
 	if p.useAnalytic() {
-		alpha, _ := p.netParams()
-		rounds := math.Ceil(math.Log2(float64(n)))
-		p.analytic(func() float64 { return rounds * alpha })
+		p.logDepth(0)
 		return
 	}
 	for k := 1; k < n; k *= 2 {
@@ -718,9 +724,7 @@ func (p *P) Bcast(root int, bytes int64, data []float64) []float64 {
 		return data
 	}
 	if p.useAnalytic() {
-		alpha, invBW := p.netParams()
-		rounds := math.Ceil(math.Log2(float64(n)))
-		p.analytic(func() float64 { return rounds * (alpha + float64(bytes)*invBW) })
+		p.logDepth(bytes)
 		return p.shareFromRoot(root, data)
 	}
 	// Rotate so root is rank 0 in tree coordinates.
@@ -789,9 +793,7 @@ func (p *P) Reduce(root int, op Op, bytes int64, data []float64) []float64 {
 		return cloneFloats(data)
 	}
 	if p.useAnalytic() {
-		alpha, invBW := p.netParams()
-		rounds := math.Ceil(math.Log2(float64(n)))
-		p.analytic(func() float64 { return rounds * (alpha + float64(bytes)*invBW) })
+		p.logDepth(bytes)
 		res := p.accumulateShared(op, data)
 		if p.me == root {
 			return res
@@ -867,9 +869,7 @@ func (p *P) Allreduce(op Op, bytes int64, data []float64) []float64 {
 		return cloneFloats(data)
 	}
 	if p.useAnalytic() {
-		alpha, invBW := p.netParams()
-		rounds := math.Ceil(math.Log2(float64(n)))
-		p.analytic(func() float64 { return rounds * (alpha + float64(bytes)*invBW) })
+		p.logDepth(bytes)
 		return p.accumulateShared(op, data)
 	}
 
@@ -954,7 +954,7 @@ func (p *P) alltoallAnalytic(total int64) {
 	bis := p.bisectionBW()
 	overFactor := 0.25
 	sys := p.c.w.sys
-	if sys.Mode == machine.VN && sys.M.CoresPerNode > 1 {
+	if sys.TasksPerNode > 1 {
 		overFactor = 1.0
 	}
 	p.analytic(func() float64 {

@@ -36,12 +36,11 @@ const Infinity Time = math.MaxFloat64
 
 // Event dispatch kinds. Process timers and wakeups carry the *Proc in the
 // event itself instead of capturing it in a closure, which is what keeps
-// Wait/Recv allocation-free.
+// Wait/Recv allocation-free. At closures are Arrivers too (funcEvent).
 const (
-	evFunc   uint8 = iota // call the wrapped closure (rides in arr)
-	evTimer               // a Wait deadline: unpark proc, transfer control
+	evTimer  uint8 = iota // a Wait deadline: unpark proc, transfer control
 	evResume              // a wake or a spawn: transfer control
-	evArrive              // dispatch arr.Arrive(at): a typed completion callback
+	evArrive              // dispatch arr.Arrive(at): a completion callback or an At closure
 )
 
 // event is a single scheduled callback. Events with equal timestamps fire in
@@ -50,14 +49,14 @@ const (
 //
 // The struct is kept at five words because the heap moves events by value:
 // the dispatch kind rides in the low two bits of seqKind (seq<<2 | kind
-// orders identically to seq, since seq is unique per event), and evFunc
+// orders identically to seq, since seq is unique per event), and At
 // closures ride in the arr slot (funcEvent is pointer-shaped, so the
 // interface conversion allocates nothing).
 type event struct {
 	at      Time
 	seqKind uint64  // scheduling sequence << kindBits | event kind
 	proc    *Proc   // evTimer/evResume payload
-	arr     Arriver // evFunc/evArrive payload
+	arr     Arriver // evArrive payload
 }
 
 // kindBits is how far seqKind shifts the sequence number to make room for
@@ -172,7 +171,6 @@ type Engine struct {
 	queue   eventQueue
 	blocked int  // processes currently blocked on a primitive
 	running bool // inside Run
-	procSeq int
 
 	// parkedHead/parkedTail form an intrusive doubly-linked list of blocked
 	// processes, threaded through Proc.prevParked/nextParked. It replaces a
@@ -211,13 +209,7 @@ func (e *Engine) Now() Time { return e.now }
 // the past or at NaN panics: it always indicates a modelling bug, and
 // silently reordering events would destroy determinism. Guards read
 // !(at >= now) because NaN fails every comparison.
-func (e *Engine) At(at Time, fn func()) {
-	if !(at >= e.now) {
-		panic(fmt.Sprintf("sim: scheduling event at %.9g before now %.9g", at, e.now))
-	}
-	e.seq++
-	e.queue.push(event{at: at, seqKind: e.seq<<kindBits | uint64(evFunc), arr: funcEvent(fn)})
-}
+func (e *Engine) At(at Time, fn func()) { e.AtArrive(at, funcEvent(fn)) }
 
 // After schedules fn to run d seconds from the current simulated time.
 func (e *Engine) After(d Time, fn func()) {
@@ -363,8 +355,6 @@ func (e *Engine) step() {
 	e.now = ev.at
 	e.EventsExecuted++
 	switch uint8(ev.seqKind & (1<<kindBits - 1)) {
-	case evFunc:
-		ev.arr.(funcEvent)()
 	case evTimer:
 		e.unpark(ev.proc)
 		ev.proc.run()

@@ -384,6 +384,51 @@ func TestAtArriveDispatch(t *testing.T) {
 	}
 }
 
+// TestSameInstantOrderAcrossKinds pins the (time, seq) contract across the
+// event kinds: at one instant, a Wait deadline queued at time zero, then an
+// At closure, a Condition wake, an AtArrive Arriver and a second Wait
+// deadline, all queued at that instant, fire in the order they were queued.
+// Every pair of kinds appears in both orders, so dispatching any kind ahead
+// of another at equal times reorders the log.
+func TestSameInstantOrderAcrossKinds(t *testing.T) {
+	const at = 1.0
+	e := NewEngine()
+	var fired []string
+	note := func(s string) {
+		if e.Now() != at {
+			t.Errorf("%s fired at %v, want %v", s, e.Now(), at)
+		}
+		fired = append(fired, s)
+	}
+	var cond Condition
+	e.Spawn("leader", func(p *Proc) {
+		p.Wait(at) // the first deadline at the instant: queue the rest
+		e.At(at, func() { note("closure") })
+		cond.Broadcast()
+		e.AtArrive(at, ArriveFunc(func(Time) { note("arriver") }))
+		p.Wait(0)
+		note("leader deadline")
+	})
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Wait(at) // queued at time zero, behind the leader's deadline
+		note("sleeper deadline")
+	})
+	e.Spawn("waiter", func(p *Proc) {
+		cond.Await(p)
+		note("wake")
+	})
+	e.Run()
+	want := []string{"sleeper deadline", "closure", "wake", "arriver", "leader deadline"}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+}
+
 // TestEventOrderingStress drives the 4-ary heap through a large random
 // schedule (including duplicate timestamps and events scheduled from inside
 // events) and checks the (time, seq) contract: nondecreasing times, FIFO

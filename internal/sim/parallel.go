@@ -130,13 +130,6 @@ func (s *ShardedEngine) Engine(i int) *Engine { return s.engs[i] }
 // Lookahead reports the configured lookahead in simulated seconds.
 func (s *ShardedEngine) Lookahead() Time { return s.lookahead }
 
-// Domain reports which domain this engine is within its sharded
-// coordinator (0 for a serial engine).
-func (e *Engine) Domain() int { return e.shardIdx }
-
-// Sharded reports whether this engine is a domain of a ShardedEngine.
-func (e *Engine) Sharded() bool { return e.shard != nil }
-
 // Post schedules a.Arrive(at) on domain `to`. It must be called from code
 // executing on a sharded domain engine (events or processes of that
 // domain). Posting to the engine's own domain degenerates to AtArrive;

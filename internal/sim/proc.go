@@ -13,7 +13,6 @@ import "fmt"
 // over channels instead (pull_race.go), where neither holds.
 type Proc struct {
 	eng  *Engine
-	id   int
 	name string
 
 	// next resumes the body until it blocks or returns; suspend hands
@@ -36,8 +35,7 @@ type Proc struct {
 // The name is used only in diagnostics. Spawn may be called before Run (to
 // seed the simulation) or from inside any event or process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	e.procSeq++
-	p := &Proc{eng: e, id: e.procSeq, name: name}
+	p := &Proc{eng: e, name: name}
 	p.next, p.stop = pull(func(yield func(struct{}) bool) {
 		p.suspend = yield
 		fn(p)
@@ -101,12 +99,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now reports the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
-
-// Name returns the diagnostic name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the unique process id (1-based, in spawn order).
-func (p *Proc) ID() int { return p.id }
 
 // Wait blocks the process for d simulated seconds. A zero wait still yields
 // to the scheduler, so Wait(0) can be used to let same-time events interleave
