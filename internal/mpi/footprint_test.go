@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"xtsim/internal/core"
@@ -49,7 +50,7 @@ func TestFinishedMeetsReleased(t *testing.T) {
 
 // TestPaperScaleHeapBudget is the 23k-rank heap-budget guard: a
 // full-machine VN world (23,016 ranks on the paper's combined system) in
-// steady state must stay under 1.5 KiB of live heap per rank. It measures
+// steady state must stay under 1,344 B of live heap per rank. It measures
 // the live-heap delta from before world construction to post-run (world,
 // procs, pending lists and route cache included; the fabric and node
 // resources are charged to the baseline system). Skipped under -short.
@@ -78,7 +79,7 @@ func TestPaperScaleHeapBudget(t *testing.T) {
 	perRank := float64(steady-base) / float64(tasks)
 	t.Logf("steady-state heap: %.1f B/rank (%d ranks, %.1f MiB total)",
 		perRank, tasks, float64(steady-base)/(1<<20))
-	const budget = 1536
+	const budget = 1344
 	if perRank > budget {
 		t.Fatalf("steady-state heap %.1f B/rank exceeds the %d B/rank budget", perRank, budget)
 	}
@@ -86,4 +87,38 @@ func TestPaperScaleHeapBudget(t *testing.T) {
 	// Nothing else references the communicator: without this its members'
 	// slab would be collected before the measurement above.
 	runtime.KeepAlive(comm)
+}
+
+// TestAnalyticAllreduceAllocsPerRank is the allocation guard for analytic
+// collectives: a rank brings its closed-form cost to the meet as a value,
+// so a size-only Allreduce allocates nothing per rank; what is left is the
+// meet itself and its condition's waiter array, shared by all ranks. It
+// runs 1,024 SN ranks with 100 Allreduces and with none and charges the
+// difference.
+func TestAnalyticAllreduceAllocsPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n, calls = 1024, 100
+	measure := func(k int) (mallocs, bytes uint64) {
+		sys := newSys(n, machine.SN)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Run(sys, Analytic, func(p *P) {
+			for i := 0; i < k; i++ {
+				p.Allreduce(Sum, 8, nil)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	baseAllocs, baseBytes := measure(0)
+	allocs, bytes := measure(calls)
+	per := float64(n * calls)
+	perRank := (float64(allocs) - float64(baseAllocs)) / per
+	t.Logf("%.3f allocations, %.1f B per rank per Allreduce", perRank, (float64(bytes)-float64(baseBytes))/per)
+	if perRank >= 0.05 {
+		t.Fatalf("%.3f allocations per rank per analytic Allreduce, want < 0.05", perRank)
+	}
 }

@@ -8,7 +8,7 @@ import "xtsim/internal/sim"
 // from its (source, tag). Messages from one sender arrive in that sender's
 // program order, so the first-match scan delivers each (source, tag) flow
 // in FIFO order. The list lives on the receiver's per-communicator P, which
-// gives every Split/Dup communicator an isolated tag space, and it holds
+// gives every Split communicator an isolated tag space, and it holds
 // only what is in flight: the -short campaign's receives examine 1.27
 // entries on average and never more than 22, so a linear scan needs no
 // per-sender index, and a rank's matching heap is its high-water pending

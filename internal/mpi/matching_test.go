@@ -232,32 +232,3 @@ func TestAnalyticBcastResultsNotAliased(t *testing.T) {
 		}
 	}
 }
-
-// TestEnvelopeAccessPanics pins the Request.Envelope contract: reading it
-// before Wait has completed the receive, or from a send request, panics
-// with a clear message instead of returning a zero envelope.
-func TestEnvelopeAccessPanics(t *testing.T) {
-	sys := newSys(2, machine.SN)
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	Run(sys, Algorithmic, func(p *P) {
-		if p.Rank() == 0 {
-			sreq := p.Isend(1, 0, 8)
-			mustPanic("Envelope on send request", func() { sreq.Envelope() })
-			p.Wait(sreq)
-			return
-		}
-		rreq := p.Irecv(0, 0)
-		mustPanic("Envelope before Wait", func() { rreq.Envelope() })
-		p.Wait(rreq)
-		if rreq.Envelope().Bytes != 8 {
-			t.Errorf("envelope after Wait = %+v", rreq.Envelope())
-		}
-	})
-}

@@ -47,7 +47,7 @@ const AnalyticThreshold = 384
 // Op is a reduction operator.
 type Op int
 
-// Reduction operators for Reduce/Allreduce.
+// Reduction operators for Allreduce and AllreduceRing.
 const (
 	Sum Op = iota
 	Max
@@ -348,11 +348,6 @@ func (p *P) Isend(dst, tag int, bytes int64) *Request {
 	return p.isendData(dst, tag, bytes, nil)
 }
 
-// IsendData starts a nonblocking send with a payload.
-func (p *P) IsendData(dst, tag int, data []float64) *Request {
-	return p.isendData(dst, tag, int64(8*len(data)), data)
-}
-
 func (p *P) isendData(dst, tag int, bytes int64, data []float64) *Request {
 	if p.c.w.sess != nil {
 		return p.hybIsend(dst, tag, bytes, data)
@@ -410,9 +405,11 @@ func (p *P) Recv(src, tag int) Envelope {
 	return p.match(src, tag)
 }
 
-// Irecv returns a request whose Wait performs the receive; Envelope returns
-// the message afterwards, for as long as Request says. The request comes
-// from the rank's free list, so a steady exchange allocates none.
+// Irecv returns a request whose Wait performs the receive and drops the
+// message: the proxies' nonblocking receives (S3D's ghost exchange) need
+// only its arrival, and a receive whose payload matters calls Recv. The
+// request comes from the rank's free list, so a steady exchange allocates
+// none.
 func (p *P) Irecv(src, tag int) *Request {
 	r := p.newReq()
 	r.owner, r.src, r.tag = p, src, tag
@@ -432,17 +429,13 @@ func (p *P) SendRecv(dst, sendTag int, sendBytes int64, src, recvTag int) Envelo
 // Isend and Irecv pop one from the rank's free list, and Wait pushes every
 // completed request, send or receive, back onto the waiting rank's list,
 // so do not Wait one request from two places. A receive request performs
-// its receive inside Wait. Its Envelope stays readable after Wait until
-// the rank starts another request on the communicator it waited through:
-// an Isend or Irecv, or a Send, SendRecv or algorithmic collective, which
-// start them internally.
+// its receive inside Wait.
 type Request struct {
 	// done marks a completed send, or a receive that Wait has performed;
 	// recycled, a request Wait has already returned to the free list.
 	done     bool
 	recycled bool
 	cond     sim.Condition
-	env      Envelope
 	owner    *P // the receiving rank's view for receive requests; nil for sends
 	src, tag int
 	// edge is the critical-path edge id of the send's delivery (0 when
@@ -461,17 +454,6 @@ type Request struct {
 func (r *Request) Arrive(sim.Time) {
 	r.done = true
 	r.cond.Broadcast()
-}
-
-// Envelope returns the received message after Wait on an Irecv request.
-func (r *Request) Envelope() Envelope {
-	if r.owner == nil {
-		panic("mpi: Envelope called on a send request (only Irecv requests carry one)")
-	}
-	if !r.done {
-		panic("mpi: Envelope called before Wait completed the receive")
-	}
-	return r.env
 }
 
 // Wait blocks until every request completes, performing the receive of
@@ -494,7 +476,7 @@ func (p *P) wait1(r *Request) {
 func (p *P) waitOne(r *Request) {
 	if r.owner != nil {
 		if !r.done {
-			r.env = r.owner.Recv(r.src, r.tag)
+			r.owner.Recv(r.src, r.tag)
 			r.done = true
 		}
 	} else if clk := p.task.HybClock(); clk != nil {
@@ -528,16 +510,17 @@ func (p *P) waitOne(r *Request) {
 // arrives, the last arrival settles the shared result, and everyone leaves
 // at the finish. It carries the analytic collectives' closed-form timing
 // and the data that rides on shared state instead of messages (root
-// shares, reductions, Scan prefixes, Split's groups). Both runtimes use
-// the same meet, and in both a non-last arriver parks on its condition;
-// only how a rank's clock reaches the finish depends on the runtime.
+// shares, reductions, Split's groups). Both runtimes use the same meet,
+// and in both a non-last arriver parks on its condition; only how a
+// rank's clock reaches the finish depends on the runtime.
 type meet struct {
 	arrived int
 	// maxAt is the latest entry time and maxRank the rank that made it;
-	// that rank's cost closure prices the collective.
+	// cost is the closed-form cost that rank brought, which prices the
+	// collective (costFree for a meet that only shares data).
 	maxAt   sim.Time
 	maxRank int
-	cost    func() float64
+	cost    float64
 	finish  sim.Time
 
 	data  [][]float64   // payload contributions by rank, for the last arrival's fold
@@ -558,21 +541,22 @@ type meet struct {
 // sequence number a safe key. arrive runs as the rank arrives; last runs
 // once, at the last arrival, before the waiters are woken.
 //
-// The latest entry prices the collective with its cost closure; a nil cost
-// finishes at the latest entry. On an exact time tie the later arrival
-// wins on the DES (procs arrive in time order, so the last arriver holds
-// the latest entry) and the higher rank on the hybrid path, where ranks
-// arrive in run-queue order, not in simulated-time order. Every rank
-// leaves with its clock at the finish; a cost-free meet adds no DES event,
-// because the DES ranks resume at the last arrival's time already.
-func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
+// The latest entry prices the collective with the cost it brought; a
+// costFree meet finishes at the latest entry. On an exact time tie the
+// later arrival wins on the DES (procs arrive in time order, so the last
+// arriver holds the latest entry) and the higher rank on the hybrid path,
+// where ranks arrive in run-queue order, not in simulated-time order.
+// Every rank leaves with its clock at the finish; a costFree meet adds no
+// DES event, because the DES ranks resume at the last arrival's time
+// already.
+func (p *P) meet(cost float64, arrive, last func(m *meet)) *meet {
 	c := p.c
 	if c.w.sys.ParallelEnabled() {
 		// Ranks from different slabs would park on one condition variable —
 		// cross-domain shared state the sharded scheduler cannot host. The
 		// admission table catches the analytic modes; a workload that
-		// reaches this panic (Split, the data-combining paths of
-		// AllreduceRing/ReduceScatter) must run serially.
+		// reaches this panic (Split, the data-combining path of
+		// AllreduceRing) must run serially.
 		panic("mpi: shared-state collective coordination under the parallel scheduler; run this workload serially")
 	}
 	now := p.task.Now()
@@ -600,21 +584,26 @@ func (p *P) meet(cost func() float64, arrive, last func(m *meet)) *meet {
 			last(m)
 		}
 		m.finish = m.maxAt
-		if m.cost != nil {
-			m.finish += m.cost()
+		if m.cost != costFree {
+			m.finish += m.cost
 		}
 		m.cond.Broadcast()
 	}
 	if clk != nil {
 		clk.T = m.finish
-	} else if m.cost != nil {
+	} else if m.cost != costFree {
 		p.task.Proc.WaitUntil(m.finish)
 	}
 	return m
 }
 
+// costFree is the cost of a meet that only shares data (root shares,
+// reductions whose cost the caller charged, Split): no closed-form cost is
+// ever negative.
+const costFree = -1.0
+
 // analytic performs a collective with a closed-form cost on the meet.
-func (p *P) analytic(cost func() float64) {
+func (p *P) analytic(cost float64) {
 	pr := p.pool.probe
 	if pr == nil {
 		p.meet(cost, nil, nil)
@@ -634,7 +623,7 @@ func (p *P) analytic(cost func() float64) {
 func (p *P) logDepth(bytes int64) {
 	alpha, invBW := p.netParams()
 	rounds := math.Ceil(math.Log2(float64(len(p.c.group))))
-	p.analytic(func() float64 { return rounds * (alpha + float64(bytes)*invBW) })
+	p.analytic(rounds * (alpha + float64(bytes)*invBW))
 }
 
 func (p *P) useAnalytic() bool {
@@ -706,12 +695,8 @@ func (p *P) Barrier() {
 const (
 	tagBarrier = -1 - iota
 	tagBcast
-	tagReduce
 	tagAllreduce
 	tagAlltoall
-	tagAllgather
-	tagGather
-	tagScatter
 )
 
 // Bcast sends bytes (and optionally data) from root to every rank using a
@@ -765,7 +750,7 @@ func (p *P) Bcast(root int, bytes int64, data []float64) []float64 {
 // shareFromRoot distributes root's data through the meet (used by analytic
 // collectives, whose cost is already accounted for).
 func (p *P) shareFromRoot(root int, data []float64) []float64 {
-	m := p.meet(nil, func(m *meet) {
+	m := p.meet(costFree, func(m *meet) {
 		if p.me == root {
 			// Snapshot, not alias: waiters copy m.acc only after they
 			// resume, which can be after root has resumed and mutated its
@@ -782,51 +767,12 @@ func (p *P) shareFromRoot(root int, data []float64) []float64 {
 	return cloneFloats(m.acc)
 }
 
-// Reduce combines data from all ranks onto root with op, returning the
-// result on root (nil elsewhere). Size-only reductions pass nil data and a
-// positive bytes count.
-func (p *P) Reduce(root int, op Op, bytes int64, data []float64) []float64 {
-	start := p.opBegin(OpReduce)
-	defer p.opEnd(OpReduce, start)
-	n := len(p.c.group)
-	if n == 1 {
-		return cloneFloats(data)
-	}
-	if p.useAnalytic() {
-		p.logDepth(bytes)
-		res := p.accumulateShared(op, data)
-		if p.me == root {
-			return res
-		}
-		return nil
-	}
-	// Binomial tree reduction toward virtual rank 0 (= root).
-	vr := (p.me - root + n) % n
-	acc := cloneFloats(data)
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask != 0 {
-			parent := ((vr &^ mask) + root) % n
-			p.sendData(parent, tagReduce, bytes, acc)
-			return nil
-		}
-		child := vr | mask
-		if child < n {
-			env := p.Recv((child+root)%n, tagReduce)
-			if acc != nil && env.Data != nil {
-				op.combine(acc, env.Data)
-			}
-			p.releasePayload(env.Data)
-		}
-	}
-	return acc
-}
-
 // accumulateShared combines every rank's contribution through the meet;
 // cost must already have been charged by the caller. Contributions fold in
 // ascending rank order at the last arrival, so the result does not depend
 // on arrival order (every contributor is still parked, its buffer intact).
 func (p *P) accumulateShared(op Op, data []float64) []float64 {
-	m := p.meet(nil, func(m *meet) { m.put(p.me, len(p.c.group), data) }, func(m *meet) {
+	m := p.meet(costFree, func(m *meet) { m.put(p.me, len(p.c.group), data) }, func(m *meet) {
 		for _, d := range m.data {
 			if d == nil {
 				continue
@@ -957,19 +903,17 @@ func (p *P) alltoallAnalytic(total int64) {
 	if sys.TasksPerNode > 1 {
 		overFactor = 1.0
 	}
-	p.analytic(func() float64 {
-		inj := float64(total) * invBW
-		// All ranks inject concurrently; roughly half of the total
-		// traffic crosses the machine bisection.
-		cross := float64(total) * float64(n) / 2
-		bisT := cross / bis
-		over := float64(n-1) * (alpha * overFactor)
-		t := inj + over
-		if bisT > t {
-			t = bisT
-		}
-		return t
-	})
+	inj := float64(total) * invBW
+	// All ranks inject concurrently; roughly half of the total traffic
+	// crosses the machine bisection.
+	cross := float64(total) * float64(n) / 2
+	bisT := cross / bis
+	over := float64(n-1) * (alpha * overFactor)
+	t := inj + over
+	if bisT > t {
+		t = bisT
+	}
+	p.analytic(t)
 }
 
 // Alltoallv sends sendSizes[i] bytes to rank i (entries for self are
@@ -1011,77 +955,11 @@ func (p *P) Alltoallv(sendSizes []int64) {
 	p.reqScratch = reqs[:0]
 }
 
-// Allgather makes bytesEach from every rank available everywhere (ring
-// algorithm, bandwidth-optimal).
-func (p *P) Allgather(bytesEach int64) {
-	start := p.opBegin(OpAllgather)
-	defer p.opEnd(OpAllgather, start)
-	n := len(p.c.group)
-	if n == 1 {
-		return
-	}
-	if p.useAnalytic() {
-		alpha, invBW := p.netParams()
-		p.analytic(func() float64 {
-			return float64(n-1) * (alpha*0.25 + float64(bytesEach)*invBW)
-		})
-		return
-	}
-	right := (p.me + 1) % n
-	left := (p.me - 1 + n) % n
-	for i := 0; i < n-1; i++ {
-		sreq := p.Isend(right, tagAllgather, bytesEach)
-		p.Recv(left, tagAllgather)
-		p.wait1(sreq)
-	}
-}
-
-// Gather collects bytesEach from every rank at root (direct).
-func (p *P) Gather(root int, bytesEach int64) {
-	start := p.opBegin(OpGatherScatter)
-	defer p.opEnd(OpGatherScatter, start)
-	n := len(p.c.group)
-	if n == 1 {
-		return
-	}
-	if p.me == root {
-		for r := 0; r < n; r++ {
-			if r != root {
-				p.Recv(r, tagGather)
-			}
-		}
-		return
-	}
-	p.Send(root, tagGather, bytesEach)
-}
-
-// Scatter distributes bytesEach from root to every rank (direct).
-func (p *P) Scatter(root int, bytesEach int64) {
-	start := p.opBegin(OpGatherScatter)
-	defer p.opEnd(OpGatherScatter, start)
-	n := len(p.c.group)
-	if n == 1 {
-		return
-	}
-	if p.me == root {
-		reqs := p.reqScratch[:0]
-		for r := 0; r < n; r++ {
-			if r != root {
-				reqs = append(reqs, p.Isend(r, tagScatter, bytesEach))
-			}
-		}
-		p.Wait(reqs...)
-		p.reqScratch = reqs[:0]
-		return
-	}
-	p.Recv(root, tagScatter)
-}
-
 // Split partitions the communicator by color, ordering each new group by
 // (key, rank), and returns the calling rank's view of its new
 // communicator. Like MPI_Comm_split, it is collective.
 func (p *P) Split(color, key int) *P {
-	m := p.meet(nil, func(m *meet) {
+	m := p.meet(costFree, func(m *meet) {
 		m.keys = append(m.keys, splitKey{color: color, key: key, rank: p.me})
 	}, func(m *meet) {
 		// The last arrival builds every subgroup deterministically: ranks
@@ -1107,12 +985,6 @@ func (p *P) Split(color, key int) *P {
 
 // splitKey is one rank's Split contribution.
 type splitKey struct{ color, key, rank int }
-
-// Dup returns the calling rank's view of a duplicate communicator with a
-// fresh tag space.
-func (p *P) Dup() *P {
-	return p.Split(0, p.me)
-}
 
 func cloneFloats(d []float64) []float64 {
 	if d == nil {

@@ -79,13 +79,16 @@ func TestIsendIrecvOverlap(t *testing.T) {
 			p.Wait(req)
 			// 1 MB at ~2 GB/s is ~0.5 ms, fully hidden behind 10 ms compute.
 			overlapOK = p.Now() < 0.012
-			if req.Envelope().Bytes != 1<<20 {
-				t.Errorf("irecv envelope = %+v", req.Envelope())
+			if len(p.pend) != 0 {
+				t.Errorf("Wait left %d message(s) pending: the Irecv did not receive", len(p.pend))
 			}
 		}
 	})
 	if !overlapOK {
 		t.Error("communication was not overlapped with computation")
+	}
+	if f := sys.Fabric; f.MsgsDelivered != 1 || f.BytesDelivered != 1<<20 {
+		t.Errorf("delivered %d msgs / %d bytes, want 1 / %d", f.MsgsDelivered, f.BytesDelivered, 1<<20)
 	}
 }
 
@@ -133,23 +136,6 @@ func TestBcastDeliversData(t *testing.T) {
 			got := p.Bcast(2%n, 16, data)
 			if len(got) != 2 || got[0] != 42 || got[1] != 43 {
 				t.Errorf("n=%d rank %d got %v", n, p.Rank(), got)
-			}
-		})
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8} {
-		sys := newSys(n, machine.SN)
-		Run(sys, Algorithmic, func(p *P) {
-			res := p.Reduce(0, Sum, 8, []float64{float64(p.Rank() + 1)})
-			if p.Rank() == 0 {
-				want := float64(n*(n+1)) / 2
-				if res == nil || res[0] != want {
-					t.Errorf("n=%d reduce = %v, want %v", n, res, want)
-				}
-			} else if res != nil {
-				t.Errorf("non-root got %v", res)
 			}
 		})
 	}
@@ -215,6 +201,54 @@ func TestAnalyticCostTracksAlgorithmic(t *testing.T) {
 	}
 }
 
+// TestAnalyticLatestEntrantPrices pins which rank prices an analytic
+// collective: the one that entered it last, with the cost it brought.
+// Every rank enters Alltoallv at its own time with its own total; the
+// latest entrant is neither the first arrival (by time on the DES, by run
+// queue on the hybrid path) nor the rank with the largest total, so
+// pricing with either of those changes the makespan.
+func TestAnalyticLatestEntrantPrices(t *testing.T) {
+	const n = 8
+	entry := func(r int) float64 { return float64((5*r+3)%n+1) * 1e-6 }
+	const latest = 4 // entry(4) = 8 µs, the only maximum
+	own := func(r int) int64 { return int64(r+1) << 12 }
+	for _, tier := range []core.HybridTier{core.HybridOff, core.HybridExact} {
+		run := func(total func(r int) int64) float64 {
+			sys := newSys(n, machine.SN)
+			if tier != core.HybridOff && !sys.EnableHybrid(tier) {
+				t.Fatalf("EnableHybrid declined: %s", sys.HybridReason())
+			}
+			end := Run(sys, Analytic, func(p *P) {
+				p.Task().ComputeSeconds(entry(p.Rank()))
+				sizes := make([]int64, n)
+				for i := range sizes {
+					if i != p.Rank() {
+						sizes[i] = total(p.Rank()) / (n - 1)
+					}
+				}
+				p.Alltoallv(sizes)
+			})
+			if tier != core.HybridOff && !sys.HybridEnabled() {
+				t.Fatalf("hybrid fell back: %s", sys.HybridReason())
+			}
+			return end
+		}
+		got := run(own)
+		if want := run(func(int) int64 { return own(latest) }); got != want {
+			t.Errorf("%v: makespan %v with per-rank totals, %v with every rank at the latest entrant's", tier, got, want)
+		}
+		bumped := run(func(r int) int64 {
+			if r == latest {
+				return 2 * own(r)
+			}
+			return own(r)
+		})
+		if bumped == got {
+			t.Errorf("%v: doubling the latest entrant's total left the makespan at %v", tier, got)
+		}
+	}
+}
+
 func TestAutoModeSwitchesAtThreshold(t *testing.T) {
 	small := newSys(4, machine.SN)
 	if got := Run(small, Auto, func(p *P) { p.Barrier() }); got <= 0 {
@@ -273,18 +307,6 @@ func TestAlltoallvSizeMismatchPanics(t *testing.T) {
 	}
 }
 
-func TestAllgatherGatherScatter(t *testing.T) {
-	sys := newSys(5, machine.SN)
-	end := Run(sys, Algorithmic, func(p *P) {
-		p.Allgather(512)
-		p.Gather(0, 256)
-		p.Scatter(0, 256)
-	})
-	if end <= 0 {
-		t.Fatal("collectives consumed no time")
-	}
-}
-
 func TestSplitRowsAndColumns(t *testing.T) {
 	// 2D 3x2 process grid: split by row then column, and do row/col
 	// reductions — the CAM/HPL communication pattern.
@@ -307,28 +329,6 @@ func TestSplitRowsAndColumns(t *testing.T) {
 		res = cp.Allreduce(Sum, 8, []float64{1})
 		if res[0] != 3 {
 			t.Errorf("col allreduce = %v", res)
-		}
-	})
-}
-
-func TestDupIsolatesTagSpace(t *testing.T) {
-	sys := newSys(2, machine.SN)
-	Run(sys, Algorithmic, func(p *P) {
-		d := p.Dup()
-		if d.Size() != p.Size() || d.Rank() != p.Rank() {
-			t.Errorf("dup size/rank = %d/%d", d.Size(), d.Rank())
-		}
-		if p.Rank() == 0 {
-			p.SendData(1, 0, []float64{1})
-			d.SendData(1, 0, []float64{2})
-		} else {
-			// Receive from the dup first: must get the dup's message.
-			if env := d.Recv(0, 0); env.Data[0] != 2 {
-				t.Errorf("dup recv = %v", env.Data)
-			}
-			if env := p.Recv(0, 0); env.Data[0] != 1 {
-				t.Errorf("world recv = %v", env.Data)
-			}
 		}
 	})
 }
@@ -405,69 +405,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestReduceScatterDistributesBlocks(t *testing.T) {
-	const n = 4
-	sys := newSys(n, machine.SN)
-	Run(sys, Algorithmic, func(p *P) {
-		// Each rank contributes [1,2,3,4] scaled by rank+1; rank i gets
-		// block i of the elementwise sum = 10*(i+1)... with one element
-		// per block.
-		data := make([]float64, n)
-		for i := range data {
-			data[i] = float64((i + 1) * (p.Rank() + 1))
-		}
-		out := p.ReduceScatter(Sum, 8, data)
-		want := float64((p.Rank() + 1) * (1 + 2 + 3 + 4))
-		if len(out) != 1 || out[0] != want {
-			t.Errorf("rank %d: reduce-scatter = %v, want [%v]", p.Rank(), out, want)
-		}
-	})
-}
-
-func TestReduceScatterAnalytic(t *testing.T) {
-	sys := newSys(6, machine.SN)
-	Run(sys, Analytic, func(p *P) {
-		data := []float64{1, 1, 1, 1, 1, 1}
-		out := p.ReduceScatter(Sum, 8, data)
-		if len(out) != 1 || out[0] != 6 {
-			t.Errorf("rank %d: analytic reduce-scatter = %v", p.Rank(), out)
-		}
-	})
-}
-
-func TestScanInclusivePrefix(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 9} {
-		sys := newSys(n, machine.SN)
-		Run(sys, Algorithmic, func(p *P) {
-			out := p.Scan(Sum, 8, []float64{float64(p.Rank() + 1)})
-			want := float64((p.Rank() + 1) * (p.Rank() + 2) / 2)
-			if out[0] != want {
-				t.Errorf("n=%d rank %d: scan = %v, want %v", n, p.Rank(), out[0], want)
-			}
-		})
-	}
-}
-
-func TestScanAnalyticMatches(t *testing.T) {
-	sys := newSys(5, machine.SN)
-	Run(sys, Analytic, func(p *P) {
-		out := p.Scan(Sum, 8, []float64{1})
-		if out[0] != float64(p.Rank()+1) {
-			t.Errorf("rank %d: analytic scan = %v", p.Rank(), out[0])
-		}
-	})
-}
-
-func TestScanSizeOnly(t *testing.T) {
-	sys := newSys(4, machine.SN)
-	end := Run(sys, Algorithmic, func(p *P) {
-		p.Scan(Sum, 1024, nil)
-	})
-	if end <= 0 {
-		t.Fatal("size-only scan consumed no time")
-	}
-}
-
 // Property: a random all-pairs traffic pattern delivers every payload
 // intact — a fuzz of the matching engine (tags, ordering, eager copies).
 func TestRandomTrafficMatchingProperty(t *testing.T) {
@@ -491,7 +428,7 @@ func TestRandomTrafficMatchingProperty(t *testing.T) {
 				if d == me {
 					continue
 				}
-				reqs = append(reqs, p.IsendData(d, 9, []float64{payload[me][d]}))
+				reqs = append(reqs, p.isendData(d, 9, 8, []float64{payload[me][d]}))
 			}
 			for s := 0; s < n; s++ {
 				if s == me {
@@ -546,15 +483,4 @@ func TestRingBeatsDoublingForLargePayloads(t *testing.T) {
 	if ringT, rdT := run(small, true), run(small, false); ringT <= rdT {
 		t.Errorf("16 B: recursive doubling (%.3g) should beat ring (%.3g)", rdT, ringT)
 	}
-}
-
-func TestAllreduceAutoSelects(t *testing.T) {
-	sys := newSys(8, machine.SN)
-	Run(sys, Algorithmic, func(p *P) {
-		small := p.AllreduceAuto(Sum, 8, []float64{1})
-		big := p.AllreduceAuto(Sum, 4<<20, []float64{1})
-		if small[0] != 8 || big[0] != 8 {
-			t.Errorf("auto allreduce results: %v / %v", small, big)
-		}
-	})
 }

@@ -21,16 +21,13 @@ const (
 	OpWait
 	OpBarrier
 	OpBcast
-	OpReduce
 	OpAllreduce
 	OpAlltoall
-	OpAllgather
-	OpGatherScatter
 	// OpIO is file-system time opened by the checkpoint/IO layer through
-	// IOBegin/IOEnd. Deliberately placed after the collectives so that
-	// Collective()'s OpBarrier..OpGatherScatter range stays intact; MPI
-	// traffic issued inside an I/O region (N-to-M aggregation sends) nests
-	// under it like a collective's internal p2p.
+	// IOBegin/IOEnd. It follows the collectives, so opEnd gives its
+	// regions timeline spans as it does theirs; MPI traffic issued inside
+	// an I/O region (N-to-M aggregation sends) nests under it like a
+	// collective's internal p2p.
 	OpIO
 	numOpClasses
 )
@@ -48,38 +45,22 @@ func (o OpClass) String() string {
 		return "Barrier"
 	case OpBcast:
 		return "Bcast"
-	case OpReduce:
-		return "Reduce"
 	case OpAllreduce:
 		return "Allreduce"
 	case OpAlltoall:
 		return "Alltoall(v)"
-	case OpAllgather:
-		return "Allgather"
-	case OpGatherScatter:
-		return "Gather/Scatter"
 	case OpIO:
 		return "File I/O"
 	}
 	return fmt.Sprintf("OpClass(%d)", int(o))
 }
 
-// Profile accumulates per-rank blocked time and call counts by operation
-// class. Only top-level operations are attributed: the point-to-point
-// traffic inside an algorithmic collective counts toward the collective,
-// not toward Send/Recv.
+// Profile accumulates per-rank blocked time by operation class. Only
+// top-level operations are attributed: the point-to-point traffic inside
+// an algorithmic collective counts toward the collective, not toward
+// Send/Recv.
 type Profile struct {
 	Seconds [numOpClasses]float64
-	Calls   [numOpClasses]uint64
-}
-
-// Total returns the summed MPI time in seconds.
-func (p *Profile) Total() float64 {
-	t := 0.0
-	for _, s := range p.Seconds {
-		t += s
-	}
-	return t
 }
 
 // Share reports the fraction of wall seconds spent blocked in class,
@@ -92,15 +73,6 @@ func (p *Profile) Share(class OpClass, wall float64) float64 {
 		return 0
 	}
 	return telemetry.Round6(p.Seconds[class] / wall)
-}
-
-// Collective returns time in collective operations only.
-func (p *Profile) Collective() float64 {
-	t := 0.0
-	for op := OpBarrier; op <= OpGatherScatter; op++ {
-		t += p.Seconds[op]
-	}
-	return t
 }
 
 // opBegin opens a tracked blocking region and returns its start time, or
@@ -120,8 +92,7 @@ func (p *P) opBegin(class OpClass) sim.Time {
 }
 
 // opEnd closes the region opened by opBegin. Only top-level regions
-// attribute elapsed simulated time and the call count and reach the
-// domain's probe: telemetry's per-communicator op counters, a timeline
+// attribute elapsed simulated time and reach the domain's probe: telemetry's per-communicator op counters, a timeline
 // span for collectives and I/O regions, and an I/O region's io_wait
 // segment.
 func (p *P) opEnd(class OpClass, start sim.Time) {
@@ -131,7 +102,6 @@ func (p *P) opEnd(class OpClass, start sim.Time) {
 	}
 	now := p.task.Now()
 	p.prof.Seconds[class] += now - start
-	p.prof.Calls[class]++
 	pr := p.pool.probe
 	if pr == nil {
 		return

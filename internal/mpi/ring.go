@@ -43,17 +43,3 @@ func (p *P) AllreduceRing(op Op, bytes int64, data []float64) []float64 {
 	}
 	return p.accumulateShared(op, data)
 }
-
-// AllreduceAuto picks the algorithm by payload size the way a production
-// MPI does: recursive doubling below the crossover, ring above it.
-func (p *P) AllreduceAuto(op Op, bytes int64, data []float64) []float64 {
-	if bytes >= RingCrossoverBytes && len(p.c.group) > 2 && !p.useAnalytic() {
-		return p.AllreduceRing(op, bytes, data)
-	}
-	return p.Allreduce(op, bytes, data)
-}
-
-// RingCrossoverBytes is the payload size above which the ring algorithm's
-// bandwidth optimality beats recursive doubling's latency optimality on
-// the modelled SeaStar (validated by the ablation experiment).
-const RingCrossoverBytes = 256 << 10
